@@ -13,7 +13,6 @@ from .demand import (
     DemandGraphError,
     PigeonLowerBound,
     degree_profile,
-    demands_within,
     lower_bound,
     parse_demand_graph,
     weakly_connected_components,

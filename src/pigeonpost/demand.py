@@ -54,7 +54,8 @@ class DemandGraph:
             if not isinstance(pair, (tuple, list)) or len(pair) != 2:
                 raise DemandGraphError(f"demand entry {pair!r} is not a pair")
             src, dst = pair
-            if not isinstance(src, int) or not isinstance(dst, int):
+            # Exact type: bool is an int subclass, so JSON true would pass as node 1.
+            if type(src) is not int or type(dst) is not int:
                 raise DemandGraphError(f"demand endpoints must be integers: {pair!r}")
             if (src, dst) in seen:
                 dropped += 1
@@ -166,11 +167,6 @@ def weakly_connected_components(g: DemandGraph) -> ComponentPartition:
     components.sort(key=min)
     isolated = frozenset(range(g.n)) - seen
     return ComponentPartition(components=tuple(components), isolated=isolated)
-
-
-def demands_within(g: DemandGraph, component: frozenset[int]) -> list[tuple[int, int]]:
-    """Demands with both endpoints inside ``component``, sorted."""
-    return sorted(d for d in g.demands if d[0] in component and d[1] in component)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,10 @@ single node walk.  A demand ``(u, v)`` is served by a walk exactly when
 components contribute independently, so the optimum is the sum over
 components of the shortest covering walk, found here by a uniform-cost
 search with an admissible distance bound over states
-``(current node, appeared set, satisfied demand set)``.
+``(current node, appeared set, satisfied demand set)``.  Each state is
+packed into one int with the satisfied set laid out by node pair, so a
+move costs one shift and a few masks, and the bound is updated from the
+parent's in O(1) instead of being recomputed over the unserved demands.
 
 2-hop: no walk normal form exists, so the solver iteratively deepens
 over ordered flight sequences, pruning flights that make no progress and
@@ -22,10 +25,11 @@ back to a feasible plan and flag the result as not proven optimal.
 from __future__ import annotations
 
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
-from .demand import DemandGraph, demands_within, lower_bound, weakly_connected_components
+from .demand import DemandGraph, lower_bound, weakly_connected_components
 from .flightplan import Flight, verify
 from .jsonutil import canonical_dumps
 from .planners import PlannerResult, cycle_walk, make_result, plan_coordinator
@@ -85,7 +89,7 @@ class _Effort:
 
 def _min_covering_walk(
     nodes: list[int],
-    demands: list[tuple[int, int]],
+    demands: Iterable[tuple[int, int]],
     limits: SearchLimits,
     effort: _Effort,
 ) -> list[int]:
@@ -95,82 +99,86 @@ def _min_covering_walk(
     lower bound: every not-yet-appeared node and every node that is the
     destination of an unserved demand still needs at least one append,
     and one append adds exactly one node.
+
+    With ``m`` nodes in local ids, a state is one int
+    ``satisfied << (m + cb) | appeared << cb | current`` with
+    ``cb = m.bit_length()``; bit ``x*m + u`` of ``satisfied`` is demand
+    ``(u, x)``.  Appending ``x`` serves ``(appeared << x*m) & wanted[x]``
+    minus what is already served, one shift and two masks.  Appending
+    ``x`` changes only ``x``'s own term of the bound, and a child is
+    generated only when ``x`` is new or gains a demand (so that term was
+    1), hence the child's bound is the parent's minus 1, plus 1 when
+    ``x`` still has unserved in-demands: ``f`` grows by that last term.
     """
     m = len(nodes)
     local = {v: i for i, v in enumerate(nodes)}
-    demand_count = len(demands)
-    full = (1 << demand_count) - 1
+    cb = m.bit_length()
+    sat_shift = m + cb  # where ``satisfied`` starts inside a key
+    current_mask = (1 << cb) - 1
     all_nodes_mask = (1 << m) - 1
     max_flights = limits.max_walk_flights
     if max_flights is None:
         max_flights = 2 * m - 2
 
-    # For each appended node x: demands (u, x) it may serve, as
-    # (demand bit, source bit) pairs, plus masks for the distance bound.
-    serves: list[list[tuple[int, int]]] = [[] for _ in range(m)]
-    dst_of: list[int] = [0] * demand_count
+    # wanted[x]: the demands (u, x) into x, already at their key position.
+    wanted = [0] * m
     sources_mask = 0
-    for i, (u, v) in enumerate(demands):
-        serves[local[v]].append((1 << i, 1 << local[u]))
-        dst_of[i] = 1 << local[v]
+    destinations_mask = 0
+    for u, v in demands:
+        x = local[v]
+        wanted[x] |= 1 << (sat_shift + x * m + local[u])
         sources_mask |= 1 << local[u]
+        destinations_mask |= 1 << x
+    full = 0
+    for mask in wanted:
+        full |= mask
+    source_shift = [sat_shift + x * m for x in range(m)]
+    appeared_key_bit = [1 << (x + cb) for x in range(m)]
 
-    def bound(appeared: int, satisfied: int) -> int:
-        needed = all_nodes_mask & ~appeared
-        unsat = full & ~satisfied
-        while unsat:
-            low = unsat & -unsat
-            needed |= dst_of[low.bit_length() - 1]
-            unsat &= unsat - 1
-        return needed.bit_count()
-
-    heap: list[tuple[int, int, int, tuple[int, int, int]]] = []
-    parent: dict[tuple[int, int, int], tuple[tuple[int, int, int] | None, int]] = {}
-    best_g: dict[tuple[int, int, int], int] = {}
+    heap: list[tuple[int, int, int, int]] = []
+    seen: dict[int, tuple[int, int | None]] = {}  # key -> (g, parent key)
     tie = 0
 
     start_mask = sources_mask  # an optimal walk always starts at a source
     while start_mask:
         low = start_mask & -start_mask
         v = low.bit_length() - 1
-        state = (v, 1 << v, 0)
-        best_g[state] = 0
-        parent[state] = (None, v)
-        heappush(heap, (bound(1 << v, 0), 0, tie, state))
+        key = low << cb | v
+        seen[key] = (0, None)
+        bound = ((all_nodes_mask & ~low) | destinations_mask).bit_count()
+        heappush(heap, (bound, 0, tie, key))
         tie += 1
         start_mask &= start_mask - 1
 
-    goal: tuple[int, int, int] | None = None
+    goal: int | None = None
     while heap:
-        f, g, _, state = heappop(heap)
-        if best_g.get(state, -1) != g:
+        f, g, _, key = heappop(heap)
+        if seen[key][0] != g:
             continue
-        current, appeared, satisfied = state
-        if satisfied == full:
-            goal = state
+        unserved = full & ~key
+        if not unserved:
+            goal = key
             break
         effort.spend()
         if g >= max_flights:
             continue
+        current = key & current_mask
+        appeared = (key >> cb) & all_nodes_mask
+        base = key ^ current
+        new_g = g + 1
         for nxt in range(m):
             if nxt == current:
                 continue
-            gain = 0
-            for demand_bit, source_bit in serves[nxt]:
-                if not satisfied & demand_bit and appeared & source_bit:
-                    gain |= demand_bit
+            pending = wanted[nxt] & unserved
+            gain = (appeared << source_shift[nxt]) & pending if pending else 0
             if not gain and (appeared >> nxt) & 1:
                 continue  # re-appending without progress never helps
-            new_state = (nxt, appeared | (1 << nxt), satisfied | gain)
-            new_g = g + 1
-            if best_g.get(new_state, new_g + 1) <= new_g:
+            new_key = base | gain | appeared_key_bit[nxt] | nxt
+            old = seen.get(new_key)
+            if old is not None and old[0] <= new_g:
                 continue
-            best_g[new_state] = new_g
-            parent[new_state] = (state, nxt)
-            heappush(
-                heap,
-                (new_g + bound(new_state[1], new_state[2]), new_g, tie, new_state),
-            )
+            seen[new_key] = (new_g, key)
+            heappush(heap, (f + (pending != gain), new_g, tie, new_key))
             tie += 1
 
     if goal is None:
@@ -179,11 +187,10 @@ def _min_covering_walk(
         raise SearchLimitError("walk cap excludes every feasible covering walk")
 
     walk_local: list[int] = []
-    state: tuple[int, int, int] | None = goal
-    while state is not None:
-        prev, node = parent[state]
-        walk_local.append(node)
-        state = prev
+    key: int | None = goal
+    while key is not None:
+        walk_local.append(key & current_mask)
+        key = seen[key][1]
     return [nodes[i] for i in reversed(walk_local)]
 
 
@@ -199,7 +206,7 @@ def optimal_multihop(g: DemandGraph, limits: SearchLimits = SearchLimits()) -> P
     proven = True
     for comp in partition.components:
         nodes = sorted(comp)
-        comp_demands = demands_within(g, comp)
+        comp_demands = g.restricted_to(comp).demands
         if len(nodes) > limits.max_nodes:
             raise SearchLimitError(
                 f"component with {len(nodes)} nodes exceeds max_nodes={limits.max_nodes}"

@@ -84,7 +84,8 @@ def parse_flight_plan(text: str) -> FlightPlan:
         if not isinstance(entry, dict) or "remote" not in entry or "home" not in entry:
             raise FlightPlanError(f"flight entry {entry!r} needs remote and home")
         remote, home = entry["remote"], entry["home"]
-        if not isinstance(remote, int) or not isinstance(home, int):
+        # Exact type: bool is an int subclass, so JSON true would pass as node 1.
+        if type(remote) is not int or type(home) is not int:
             raise FlightPlanError(f"flight endpoints must be integers: {entry!r}")
         flights.append(Flight(remote, home))
     return FlightPlan(tuple(flights))

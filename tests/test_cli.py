@@ -101,6 +101,17 @@ def test_parse_error_exits_three(tmp_path, capsys):
     assert code == 3
 
 
+def test_boolean_endpoints_exit_three(demo_file, tmp_path, capsys):
+    graph = tmp_path / "bool_graph.json"
+    graph.write_text('{"n": 3, "demands": [[true, 2]]}')
+    code, _ = run(capsys, "bounds", str(graph))
+    assert code == 3
+    plan = tmp_path / "bool_plan.json"
+    plan.write_text('{"flights": [{"remote": true, "home": 3}]}')
+    code, _ = run(capsys, "verify", demo_file, str(plan), "--mode", "multihop")
+    assert code == 3
+
+
 def test_strict_budget_exits_four(demo_file, capsys):
     code, _ = run(capsys, "solve", demo_file, "--mode", "twohop",
                   "--algorithm", "exact", "--budget", "2", "--strict")

@@ -33,6 +33,8 @@ def test_parse_demo_instance():
         '{"n": 2}',  # missing demands
         "not json",
         '{"n": 2, "demands": [[0, 1, 2]]}',  # not a pair
+        '{"n": 3, "demands": [[true, 2]]}',  # boolean endpoint
+        '{"n": 3, "demands": [[0, false]]}',  # boolean endpoint
     ],
 )
 def test_parse_rejects_invalid(text):

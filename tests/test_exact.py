@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from itertools import permutations
 
 import pytest
 
@@ -17,7 +18,7 @@ from pigeonpost import (
     verify_multihop,
     verify_twohop,
 )
-from pigeonpost.instances import cycle_graph
+from pigeonpost.instances import cycle_graph, demo_graph, random_graph
 
 from conftest import random_demand_graph
 
@@ -53,6 +54,83 @@ def test_multihop_budget_falls_back_to_cycle_plan():
     assert not result.proven_optimal
     assert result.count == 2 * 6 - 2
     assert verify_multihop(g, result.plan).satisfied
+
+
+def multihop_optima_by_bfs(n: int) -> dict[int, int]:
+    """Oracle: fewest flights serving each set of ordered pairs on ``n`` nodes.
+
+    Breadth-first search over information states, one ``carried`` mask per
+    node (whose data the node holds); flight ``a -> b`` merges ``a``'s mask
+    into ``b``'s.  Any flight sequence is explored, so nothing here assumes
+    the walk normal form the solver relies on.  Keys are masks over
+    ``permutations(range(n), 2)``; a pair set's optimum is the best depth
+    of any state serving a superset of it.
+    """
+    pairs = list(permutations(range(n), 2))
+    start = tuple(1 << v for v in range(n))
+    depth = {start: 0}
+    frontier = [start]
+    while frontier:
+        following = []
+        for state in frontier:
+            for a, b in pairs:
+                merged = state[b] | state[a]
+                if merged == state[b]:
+                    continue
+                child = state[:b] + (merged,) + state[b + 1:]
+                if child not in depth:
+                    depth[child] = depth[state] + 1
+                    following.append(child)
+        frontier = following
+
+    unreachable = 2 * n * n
+    best = [unreachable] * (1 << len(pairs))
+    for state, d in depth.items():
+        served = 0
+        for i, (u, x) in enumerate(pairs):
+            if (state[x] >> u) & 1:
+                served |= 1 << i
+        best[served] = min(best[served], d)
+    for i in range(len(pairs)):  # superset minimum
+        bit = 1 << i
+        for mask in range(len(best)):
+            if not mask & bit:
+                best[mask] = min(best[mask], best[mask | bit])
+    return {mask: best[mask] for mask in range(1, len(best))}
+
+
+def test_multihop_matches_bfs_oracle_on_every_four_node_graph():
+    pairs = list(permutations(range(4), 2))
+    optima = multihop_optima_by_bfs(4)
+    assert len(optima) == 4095
+    for mask, expected in optima.items():
+        g = DemandGraph.from_pairs(4, [p for i, p in enumerate(pairs) if (mask >> i) & 1])
+        result = optimal_multihop(g)
+        assert result.proven_optimal
+        assert result.count == expected, g.sorted_demands()
+        assert verify_multihop(g, result.plan).satisfied
+
+
+# Smallest expansion budget that proves each instance.  The counts were
+# measured on the tuple-keyed search that preceded the packed-int state;
+# a change in them means the search expands other states, not just that
+# it got faster or slower.
+@pytest.mark.parametrize(
+    ("g", "budget"),
+    [
+        (demo_graph(), 30),
+        (cycle_graph(6), 36),
+        (random_graph(7, 0.6, seed=1), 4163),
+    ],
+    ids=["demo", "cycle6", "dense7"],
+)
+def test_multihop_expansion_count_is_pinned(g, budget):
+    proven = optimal_multihop(g, SearchLimits(expansion_budget=budget))
+    assert proven.proven_optimal
+    fallback = optimal_multihop(g, SearchLimits(expansion_budget=budget - 1))
+    assert not fallback.proven_optimal
+    assert fallback.count == 2 * g.n - 2
+    assert fallback.plan == plan_cycle(g).plan
 
 
 def test_twohop_path_demands_direct_is_optimal():

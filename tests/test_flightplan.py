@@ -50,6 +50,15 @@ def test_flight_rejects_self_loop():
         Flight(2, 2)
 
 
+@pytest.mark.parametrize(
+    "text",
+    ['{"flights": [{"remote": true, "home": 2}]}', '{"flights": [{"remote": 2, "home": false}]}'],
+)
+def test_parse_flight_plan_rejects_boolean_endpoints(text):
+    with pytest.raises(FlightPlanError):
+        parse_flight_plan(text)
+
+
 def test_plan_json_round_trip():
     plan = DEMO_TWOHOP_PLAN
     assert parse_flight_plan(plan.to_json()) == plan

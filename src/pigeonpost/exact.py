@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import time
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from heapq import heappop, heappush
 
 from .demand import DemandGraph, lower_bound, weakly_connected_components
@@ -67,6 +67,18 @@ class SearchLimits:
             raise ValueError("search limits must be positive")
         if self.time_budget is not None and self.time_budget <= 0:
             raise ValueError("search limits must be positive")
+
+    def check_size(self, nodes: int, demands: int, scope: str) -> None:
+        """Raise ``SearchLimitError`` when ``scope`` (a graph or one
+        component) has more nodes or demands than the limits allow."""
+        if nodes > self.max_nodes:
+            raise SearchLimitError(
+                f"{scope} with {nodes} nodes exceeds max_nodes={self.max_nodes}"
+            )
+        if demands > self.max_demands:
+            raise SearchLimitError(
+                f"{scope} with {demands} demands exceeds max_demands={self.max_demands}"
+            )
 
 
 class _Effort:
@@ -207,15 +219,7 @@ def optimal_multihop(g: DemandGraph, limits: SearchLimits = SearchLimits()) -> P
     for comp in partition.components:
         nodes = sorted(comp)
         comp_demands = g.restricted_to(comp).demands
-        if len(nodes) > limits.max_nodes:
-            raise SearchLimitError(
-                f"component with {len(nodes)} nodes exceeds max_nodes={limits.max_nodes}"
-            )
-        if len(comp_demands) > limits.max_demands:
-            raise SearchLimitError(
-                f"component with {len(comp_demands)} demands exceeds "
-                f"max_demands={limits.max_demands}"
-            )
+        limits.check_size(len(nodes), len(comp_demands), "component")
         try:
             walk = _min_covering_walk(nodes, comp_demands, limits, effort)
         except _BudgetExhausted:
@@ -309,13 +313,7 @@ def optimal_twohop(g: DemandGraph, limits: SearchLimits = SearchLimits()) -> Pla
     the first feasible count is optimal.  On budget exhaustion the
     coordinator plan is returned unproven.
     """
-    if g.n > limits.max_nodes:
-        raise SearchLimitError(f"n={g.n} exceeds max_nodes={limits.max_nodes}")
-    if len(g.demands) > limits.max_demands:
-        raise SearchLimitError(
-            f"{len(g.demands)} demands exceed max_demands={limits.max_demands}"
-        )
-
+    limits.check_size(g.n, len(g.demands), "graph")
     fallback = plan_coordinator(g)
     bound = lower_bound(g).overall
     effort = _Effort(limits)
@@ -327,27 +325,9 @@ def optimal_twohop(g: DemandGraph, limits: SearchLimits = SearchLimits()) -> Pla
                 flights = [Flight(a, b) for a, b in found]
                 return make_result(g, flights, "twohop", "exact", proven_optimal=True)
     except _BudgetExhausted:
-        return PlannerResult(
-            plan=fallback.plan,
-            mode="twohop",
-            algorithm="exact",
-            count=fallback.count,
-            lower_bound=fallback.lower_bound,
-            ratio=fallback.ratio,
-            proven_optimal=False,
-            coordinators=fallback.coordinators,
-        )
+        return replace(fallback, algorithm="exact", proven_optimal=False)
     # Nothing below the coordinator count is feasible, so it is optimal.
-    return PlannerResult(
-        plan=fallback.plan,
-        mode="twohop",
-        algorithm="exact",
-        count=fallback.count,
-        lower_bound=fallback.lower_bound,
-        ratio=fallback.ratio,
-        proven_optimal=True,
-        coordinators=fallback.coordinators,
-    )
+    return replace(fallback, algorithm="exact", proven_optimal=True)
 
 
 @dataclass(frozen=True)

@@ -26,11 +26,21 @@ bounding.  Both constructors attach their slot structure as ordered
 variable blocks; since only the relative order of slots matters in
 either model, the native solver restricts itself to solutions whose
 used slots form a prefix, and branches slot by slot.
+
+The constructors and ``export_lp`` give the paper formulation as it
+stands.  The planners ``optimal_*_ilp`` solve a tighter version of it
+with the same integer optima (``_tighten``): only the slots up to a
+known upper bound on the optimum are kept (the coordinator count for
+2-hop, ``min(2m - 1, hub count + 1)`` walk positions for multihop), the
+multihop pairwise linking rows are replaced by aggregated ones, and the
+2-hop used slots are forced to form a prefix.  The solution, extended
+with zeros, is checked against every row of the paper model before a
+plan is extracted.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 from .demand import DemandGraph, weakly_connected_components
 from .exact import SearchLimits, _BudgetExhausted, _Effort
@@ -71,17 +81,12 @@ class BinaryModel:
     constraints: list[LinearConstraint]
     objective: tuple[tuple[int, int], ...]
     slot_blocks: tuple[tuple[int, ...], ...] = ()
-    _ids: dict[str, int] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
-        self._ids = {v.name: i for i, v in enumerate(self.variables)}
         for row in self.constraints:
             for _coeff, var in row.terms:
                 if not 0 <= var < len(self.variables):
                     raise ModelError(f"constraint {row.name} references unknown variable")
-
-    def var_id(self, name: str) -> int:
-        return self._ids[name]
 
 
 def _ordered_pairs(n: int) -> list[tuple[int, int]]:
@@ -452,18 +457,19 @@ class _BranchAndBound:
         self._branch(branch_var, 1 - prefer, block_cursor)
 
 
+def _row_holds(row: LinearConstraint, total: int) -> bool:
+    if row.relation == "<=":
+        return total <= row.constant
+    if row.relation == ">=":
+        return total >= row.constant
+    return total == row.constant
+
+
 def _verify_assignment(model: BinaryModel, values: dict[str, int]) -> None:
     names = [v.name for v in model.variables]
     for row in model.constraints:
         total = sum(coeff * values[names[var]] for coeff, var in row.terms)
-        ok = (
-            total <= row.constant
-            if row.relation == "<="
-            else total >= row.constant
-            if row.relation == ">="
-            else total == row.constant
-        )
-        if not ok:
+        if not _row_holds(row, total):
             raise ModelError(f"solver returned values violating {row.name}")
 
 
@@ -662,26 +668,97 @@ def export_lp(model: BinaryModel) -> str:
     return "\n".join(out) + "\n"
 
 
+def _restrict_slots(model: BinaryModel, slots: int) -> BinaryModel:
+    """``model`` with every variable of a slot after ``slots`` fixed to 0 and dropped.
+
+    A variable's last index is its latest slot in both models.  Rows
+    lose the dropped terms, and a row left empty goes when 0 satisfies it.
+    """
+    new_id: dict[int, int] = {}
+    variables: list[ModelVariable] = []
+    for var_id, var in enumerate(model.variables):
+        if var.index[-1] <= slots:
+            new_id[var_id] = len(variables)
+            variables.append(var)
+    constraints = []
+    for row in model.constraints:
+        terms = tuple((coeff, new_id[var]) for coeff, var in row.terms if var in new_id)
+        if terms or not _row_holds(row, 0):
+            constraints.append(LinearConstraint(row.name, terms, row.relation, row.constant))
+    objective = tuple((coeff, new_id[var]) for coeff, var in model.objective if var in new_id)
+    blocks = tuple(
+        tuple(new_id[var] for var in block) for block in model.slot_blocks[:slots]
+    )
+    return BinaryModel(variables, constraints, objective, blocks)
+
+
+def _tighten(kind: str, model: BinaryModel, slots: int) -> BinaryModel:
+    """The paper model as the solve path hands it to the solver.
+
+    Only slots ``1..slots`` are kept; ``slots`` bounds the optimum, and
+    only the relative order of slots matters, so the optimum is kept.
+    Variable names and slot blocks carry over.
+    """
+    model = _restrict_slots(model, slots)
+    constraints = list(model.constraints)
+    blocks = model.slot_blocks
+    if kind == "multihop":
+        # Swap each ``2 y_u_v_i_j <= x_u_i + x_v_j`` for the aggregated
+        # ``sum_j y_u_v_i_j <= x_u_i`` and ``sum_i y_u_v_i_j <= x_v_j``.
+        # ``serve_u_v`` lets only one ``y_u_v_*`` be 1, so the 0/1 points
+        # are the same, and the LP relaxation is far tighter
+        # (disaggregated linking, Wolsey 1998).
+        x_id = {var.index: k for k, var in enumerate(model.variables) if var.kind == "x"}
+        links: dict[tuple[str, int, int, int], list[int]] = {}
+        for k, var in enumerate(model.variables):
+            if var.kind == "y":
+                u, v, i, j = var.index
+                links.setdefault(("out", u, v, i), []).append(k)
+                links.setdefault(("in", u, v, j), []).append(k)
+        constraints = [row for row in constraints if not row.name.startswith("place_")]
+        for (end, u, v, slot), ys in links.items():
+            terms = tuple((1, y) for y in ys) + ((-1, x_id[(u if end == "out" else v, slot)]),)
+            constraints.append(LinearConstraint(f"link_{end}_{u}_{v}_{slot}", terms, "<=", 0))
+    else:
+        # 2-hop: the used slots form a prefix, ``used(i) <= used(i-1)``;
+        # compacting the used slots of any solution meets these rows.
+        for i in range(1, len(blocks)):
+            terms = tuple((1, var) for var in blocks[i])
+            terms += tuple((-1, var) for var in blocks[i - 1])
+            constraints.append(LinearConstraint(f"prefix_{i + 1}", terms, "<=", 0))
+    return BinaryModel(model.variables, constraints, model.objective, blocks)
+
+
+def _solve_tightened(
+    kind: str, model: BinaryModel, slots: int, limits: SearchLimits
+) -> Assignment:
+    """Solve ``_tighten(kind, model, slots)``; values come back on ``model``.
+
+    The solution, extended with zeros for the dropped variables, must
+    satisfy every row of the paper ``model``, so a transform bug raises
+    ``ModelError`` rather than yield a wrong plan.
+    """
+    result = solve_binary_model(_tighten(kind, model, slots), limits, upper_bound=slots)
+    if not result.feasible:
+        return result
+    values = dict.fromkeys((var.name for var in model.variables), 0)
+    values.update(result.values)
+    _verify_assignment(model, values)
+    return Assignment(result.status, values, result.objective)
+
+
 def optimal_twohop_ilp(g: DemandGraph, limits: SearchLimits = SearchLimits()) -> PlannerResult:
-    """2-hop optimum via the slot model; coordinator plan seeds the bound."""
+    """2-hop optimum via the slot model; the coordinator plan's count caps the slots."""
+    limits.check_size(g.n, len(g.demands), "graph")
     fallback = plan_coordinator(g)
     if not g.demands:
         return make_result(g, [], "twohop", "ilp", proven_optimal=True)
     model = build_twohop_model(g)
-    result = solve_binary_model(model, limits, upper_bound=fallback.count)
+    result = _solve_tightened("twohop", model, fallback.count, limits)
     if result.status == "infeasible":
         raise ModelError("2-hop model infeasible below a feasible plan; model bug")
     if not result.proven_optimal:
-        return PlannerResult(
-            plan=fallback.plan,
-            mode="twohop",
-            algorithm="ilp",
-            count=fallback.count,
-            lower_bound=fallback.lower_bound,
-            ratio=fallback.ratio,
-            proven_optimal=False,
-            coordinators=fallback.coordinators,
-        )
+        return replace(fallback, algorithm="ilp", proven_optimal=False)
     plan = extract_plan("twohop", g, model, result)
     return make_result(g, list(plan.flights), "twohop", "ilp", proven_optimal=True)
 
@@ -694,10 +771,11 @@ def optimal_multihop_ilp(g: DemandGraph, limits: SearchLimits = SearchLimits()) 
     for comp in partition.components:
         sub = g.restricted_to(comp)
         m = len(comp)
+        limits.check_size(m, len(sub.demands), "component")
         hub_count = plan_coordinator(sub).count
         cap = min(2 * m - 1, hub_count + 1)
         model = build_multihop_model(sub)
-        result = solve_binary_model(model, limits, upper_bound=cap)
+        result = _solve_tightened("multihop", model, cap, limits)
         if result.status == "infeasible":
             raise ModelError("multihop model infeasible below a feasible walk; model bug")
         if result.feasible:

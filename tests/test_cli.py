@@ -204,3 +204,12 @@ def test_usage_error_exits_two(capsys):
         main(["solve"])  # missing required flags
     assert excinfo.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("mode", ["twohop", "multihop"])
+def test_ilp_over_size_limit_exits_two(tmp_path, capsys, mode):
+    path = tmp_path / "cycle12.json"
+    path.write_text(cycle_graph(12).to_json())  # one 12-node component
+    code, out = run(capsys, "solve", str(path), "--mode", mode, "--algorithm", "ilp")
+    assert code == 2
+    assert out == ""

@@ -1,3 +1,4 @@
+import operator
 import random
 from pathlib import Path
 
@@ -20,10 +21,12 @@ from pigeonpost import (
     verify_multihop,
     verify_twohop,
 )
+from pigeonpost import ilp
 from pigeonpost.exact import SearchLimits
-from pigeonpost.instances import cycle_graph
+from pigeonpost.instances import cycle_graph, demo_graph
 
 from conftest import random_connected_demand_graph
+from test_acceptance import _all_connected_graphs_n3
 
 DATA = Path(__file__).parent / "data"
 
@@ -173,3 +176,65 @@ def test_cross_solver_agreement_n4(seed):
     plan = extract_plan("twohop", g, model, assignment)
     assert verify_twohop(g, plan).satisfied
     assert optimal_multihop_ilp(g).count == optimal_multihop(g).count
+
+
+@pytest.fixture
+def solved(monkeypatch):
+    """Record every (model, assignment) the ILP planners hand to the solver."""
+    calls = []
+
+    def recording(model, *args, **kwargs):
+        assignment = solve_binary_model(model, *args, **kwargs)
+        calls.append((model, assignment))
+        return assignment
+
+    monkeypatch.setattr(ilp, "solve_binary_model", recording)
+    return calls
+
+
+def _violated_rows(model: BinaryModel, values: dict[str, int]) -> list[str]:
+    names = [v.name for v in model.variables]
+    holds = {"<=": operator.le, ">=": operator.ge, "=": operator.eq}
+    return [
+        row.name
+        for row in model.constraints
+        if not holds[row.relation](
+            sum(coeff * values.get(names[var], 0) for coeff, var in row.terms),
+            row.constant,
+        )
+    ]
+
+
+TIGHTENED_CASES = [(f"n3-{i}", g) for i, g in enumerate(_all_connected_graphs_n3())]
+TIGHTENED_CASES.append(("demo", demo_graph()))
+
+
+@pytest.mark.parametrize(
+    "planner, exact, build",
+    [
+        (optimal_twohop_ilp, optimal_twohop, build_twohop_model),
+        (optimal_multihop_ilp, optimal_multihop, build_multihop_model),
+    ],
+    ids=["twohop", "multihop"],
+)
+def test_tightened_solve_keeps_optimum_and_paper_rows(solved, planner, exact, build):
+    assert len(TIGHTENED_CASES) == 55  # all 54 connected 3-node graphs and the demo
+    for label, g in TIGHTENED_CASES:
+        solved.clear()
+        result = planner(g)
+        assert result.proven_optimal, label
+        assert result.count == exact(g).count, label
+        paper = build(g)
+        ((_, assignment),) = solved
+        assert set(assignment.values) <= {v.name for v in paper.variables}, label
+        assert _violated_rows(paper, assignment.values) == [], label
+
+
+def test_solved_multihop_demo_model_is_the_tightened_one(solved):
+    optimal_multihop_ilp(demo_graph())
+    ((model, _),) = solved
+    # 6 slots (hub count 5, plus one) x 6 nodes; 6 demands x C(6, 2) pairs
+    assert len(model.variables) == 36 + 90
+    # 6 slot + 6 serve + 6 demands x (5 out + 5 in) linking rows
+    assert len(model.constraints) == 6 + 6 + 60
+    assert not any(row.name.startswith("place_") for row in model.constraints)

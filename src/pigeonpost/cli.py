@@ -11,21 +11,14 @@ import argparse
 import dataclasses
 import sys
 
+# The solver back ends (exact, ilp), the reductions and the generators are
+# imported inside the commands that use them, so the other commands do not
+# pay for compiling and loading them.  Their errors are turned into exit
+# codes where they are imported.
 from .demand import DemandGraphError, lower_bound, parse_demand_graph
-from .exact import SearchLimitError, SearchLimits, optimal_multihop, optimal_twohop
 from .flightplan import FlightPlanError, parse_flight_plan, verify
-from .ilp import build_multihop_model, build_twohop_model, export_lp, optimal_multihop_ilp, optimal_twohop_ilp
-from .instances import cycle_graph, demo_graph, random_graph, star_graph
 from .jsonutil import canonical_dumps
 from .planners import plan_coordinator, plan_cycle, plan_singlehop
-from .reductions import (
-    CnfError,
-    ReductionError,
-    parse_dimacs_cnf,
-    parse_undirected_graph,
-    reduce_3sat_to_twohop,
-    reduce_vertex_cover_to_multihop,
-)
 
 EXIT_OK = 0
 EXIT_UNSATISFIED = 1
@@ -33,7 +26,7 @@ EXIT_USAGE = 2
 EXIT_PARSE = 3
 EXIT_BUDGET = 4
 
-_PARSE_ERRORS = (DemandGraphError, FlightPlanError, CnfError, ReductionError)
+_PARSE_ERRORS = (DemandGraphError, FlightPlanError)
 
 # Which algorithms can honor which routing regime.  The cycle plan only
 # verifies under multihop; coordinator plans verify under both relayed
@@ -60,13 +53,27 @@ def _write(path: str, text: str) -> None:
             handle.write(text)
 
 
-def _limits(args: argparse.Namespace) -> SearchLimits:
-    return SearchLimits(
-        max_nodes=args.max_nodes,
-        max_demands=args.max_demands,
-        expansion_budget=args.budget,
-        time_budget=args.time_budget,
-    )
+def _limits(args: argparse.Namespace):
+    """``SearchLimits`` from the limit flags that were given."""
+    from .exact import SearchLimits
+
+    flags = {
+        "max_nodes": args.max_nodes,
+        "max_demands": args.max_demands,
+        "expansion_budget": args.budget,
+        "time_budget": args.time_budget,
+    }
+    return SearchLimits(**{name: value for name, value in flags.items() if value is not None})
+
+
+def _optimal_solver(args: argparse.Namespace):
+    if args.algorithm == "exact":
+        from .exact import optimal_multihop, optimal_twohop
+
+        return optimal_twohop if args.mode == "twohop" else optimal_multihop
+    from .ilp import optimal_multihop_ilp, optimal_twohop_ilp
+
+    return optimal_twohop_ilp if args.mode == "twohop" else optimal_multihop_ilp
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
@@ -77,19 +84,20 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         )
         return EXIT_USAGE
     graph = parse_demand_graph(_read(args.graph))
-    limits = _limits(args)
     if args.algorithm == "direct":
         result = plan_singlehop(graph)
     elif args.algorithm == "coordinator":
         result = plan_coordinator(graph)
     elif args.algorithm == "cycle":
         result = plan_cycle(graph)
-    elif args.algorithm == "exact":
-        solver = optimal_twohop if args.mode == "twohop" else optimal_multihop
-        result = solver(graph, limits)
     else:
-        solver = optimal_twohop_ilp if args.mode == "twohop" else optimal_multihop_ilp
-        result = solver(graph, limits)
+        from .exact import SearchLimitError
+
+        try:
+            result = _optimal_solver(args)(graph, _limits(args))
+        except SearchLimitError as exc:
+            print(f"error: {exc} (raise --max-nodes/--max-demands?)", file=sys.stderr)
+            return EXIT_USAGE
     if result.mode != args.mode:
         # A plan valid under a stricter regime is valid here as well.
         result = dataclasses.replace(result, mode=args.mode)
@@ -115,20 +123,35 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
-    if args.kind == "3sat-to-twohop":
-        formula = parse_dimacs_cnf(_read(args.input))
-        output = reduce_3sat_to_twohop(formula)
-    else:
-        if args.k is None:
-            print("error: vc-to-multihop needs --k", file=sys.stderr)
-            return EXIT_USAGE
-        graph = parse_undirected_graph(_read(args.input))
-        output = reduce_vertex_cover_to_multihop(graph, args.k)
+    from .reductions import (
+        CnfError,
+        ReductionError,
+        parse_dimacs_cnf,
+        parse_undirected_graph,
+        reduce_3sat_to_twohop,
+        reduce_vertex_cover_to_multihop,
+    )
+
+    try:
+        if args.kind == "3sat-to-twohop":
+            formula = parse_dimacs_cnf(_read(args.input))
+            output = reduce_3sat_to_twohop(formula)
+        else:
+            if args.k is None:
+                print("error: vc-to-multihop needs --k", file=sys.stderr)
+                return EXIT_USAGE
+            graph = parse_undirected_graph(_read(args.input))
+            output = reduce_vertex_cover_to_multihop(graph, args.k)
+    except (CnfError, ReductionError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     _write(args.output, output.to_json())
     return EXIT_OK
 
 
 def _cmd_export_lp(args: argparse.Namespace) -> int:
+    from .ilp import build_multihop_model, build_twohop_model, export_lp
+
     graph = parse_demand_graph(_read(args.graph))
     builder = build_twohop_model if args.mode == "twohop" else build_multihop_model
     _write(args.output, export_lp(builder(graph)))
@@ -136,6 +159,8 @@ def _cmd_export_lp(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    from .instances import cycle_graph, demo_graph, random_graph, star_graph
+
     try:
         if args.kind == "demo":
             graph = demo_graph()
@@ -153,10 +178,10 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _add_limit_flags(parser: argparse.ArgumentParser) -> None:
-    defaults = SearchLimits()
-    parser.add_argument("--max-nodes", type=int, default=defaults.max_nodes)
-    parser.add_argument("--max-demands", type=int, default=defaults.max_demands)
-    parser.add_argument("--budget", type=int, default=defaults.expansion_budget,
+    # An omitted flag reads None and keeps the SearchLimits default.
+    parser.add_argument("--max-nodes", type=int)
+    parser.add_argument("--max-demands", type=int)
+    parser.add_argument("--budget", type=int,
                         help="node-expansion budget for exact searches")
     parser.add_argument("--time-budget", type=float, default=None, metavar="SECONDS")
 
@@ -230,9 +255,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except SearchLimitError as exc:
-        print(f"error: {exc} (raise --max-nodes/--max-demands?)", file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

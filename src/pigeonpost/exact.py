@@ -315,11 +315,10 @@ def optimal_twohop(g: DemandGraph, limits: SearchLimits = SearchLimits()) -> Pla
     """
     limits.check_size(g.n, len(g.demands), "graph")
     fallback = plan_coordinator(g)
-    bound = lower_bound(g).overall
     effort = _Effort(limits)
     search = _TwoHopSearch(g, effort)
     try:
-        for k in range(bound, fallback.count):
+        for k in range(fallback.lower_bound, fallback.count):
             found = search.find_plan(k)
             if found is not None:
                 flights = [Flight(a, b) for a, b in found]

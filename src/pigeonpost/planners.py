@@ -75,7 +75,8 @@ def make_result(
     coordinators: tuple[int, ...] = (),
 ) -> PlannerResult:
     count = len(flights)
-    bound = lower_bound(g).overall
+    # ``lower_bound(g).overall``, without its degree profile and component split.
+    bound = max(len({src for src, _ in g.demands}), len({dst for _, dst in g.demands}))
     return PlannerResult(
         plan=FlightPlan(tuple(flights)),
         mode=mode,

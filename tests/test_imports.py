@@ -1,0 +1,118 @@
+"""Which pigeonpost modules a fresh interpreter loads, and the lazy package names.
+
+The CLI imports the solver back ends, the reductions and the generators
+inside the commands that use them, and ``pigeonpost`` resolves its public
+names on first access; each check runs in a new interpreter so modules
+loaded by other tests cannot hide an eager import.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from pigeonpost.instances import demo_graph
+from pigeonpost.planners import plan_coordinator
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Runs pigeonpost.cli.main on argv, then prints its exit code and the
+# pigeonpost modules loaded.
+RUN_CLI = """
+import contextlib, io, json, sys
+from pigeonpost.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("pigeonpost"))]))
+"""
+
+SOLVER_MODULES = {"pigeonpost.exact", "pigeonpost.ilp", "pigeonpost.reductions"}
+
+# pigeonpost.__all__ before the names became lazy: 59 functions, classes
+# and exceptions, plus the 8 submodules.
+PUBLIC_NAMES = {
+    "ApproximationReport", "Assignment", "BinaryModel", "CnfError", "CnfFormula",
+    "ComponentPartition", "DegreeProfile", "DemandGraph", "DemandGraphError", "Flight",
+    "FlightPlan", "FlightPlanError", "ModelError", "OptimalityCertificate",
+    "PigeonLowerBound", "PlanStats", "PlannerResult", "ReductionError", "ReductionOutput",
+    "SatResult", "SearchLimitError", "SearchLimits", "UndirectedGraph",
+    "VerificationReport", "approximation_report", "build_multihop_model",
+    "build_twohop_model", "certify", "cycle_graph", "degree_profile", "demo_graph",
+    "export_lp", "extract_plan", "lower_bound", "min_vertex_cover_bruteforce",
+    "optimal_multihop", "optimal_multihop_ilp", "optimal_twohop", "optimal_twohop_ilp",
+    "parse_demand_graph", "parse_dimacs_cnf", "parse_flight_plan",
+    "parse_undirected_graph", "plan_coordinator", "plan_cycle", "plan_singlehop",
+    "plan_stats", "random_graph", "reduce_3sat_to_twohop",
+    "reduce_vertex_cover_to_multihop", "sat_bruteforce", "satisfying_assignment_plan",
+    "solve_binary_model", "star_graph", "verify", "verify_multihop", "verify_singlehop",
+    "verify_twohop", "weakly_connected_components",
+}
+SUBMODULES = {
+    "demand", "exact", "flightplan", "ilp", "instances", "jsonutil", "planners", "reductions",
+}
+
+
+def fresh_python(*args: str) -> str:
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("imports")
+    graph = root / "demo.json"
+    graph.write_text(demo_graph().to_json())
+    plan = root / "plan.json"
+    plan.write_text(plan_coordinator(demo_graph()).plan.to_json())
+    return {"graph": str(graph), "plan": str(plan)}
+
+
+def cli_modules(*argv: str) -> tuple[int, set[str]]:
+    code, modules = json.loads(fresh_python("-c", RUN_CLI, *argv))
+    return code, set(modules)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gen", "demo"),
+        ("bounds", "{graph}"),
+        ("verify", "{graph}", "{plan}", "--mode", "twohop"),
+        ("solve", "{graph}", "--mode", "twohop", "--algorithm", "coordinator",
+         "--max-nodes", "10", "--budget", "100"),
+        ("solve", "{graph}", "--mode", "multihop", "--algorithm", "cycle"),
+    ],
+    ids=["gen", "bounds", "verify", "solve-coordinator", "solve-cycle"],
+)
+def test_commands_without_a_solver_load_no_solver_module(files, argv):
+    code, modules = cli_modules(*(arg.format(**files) for arg in argv))
+    assert code == 0
+    assert not modules & SOLVER_MODULES, sorted(modules & SOLVER_MODULES)
+
+
+def test_exact_solve_loads_only_the_exact_solver(files):
+    code, modules = cli_modules("solve", files["graph"], "--mode", "multihop", "--algorithm", "exact")
+    assert code == 0
+    assert modules & SOLVER_MODULES == {"pigeonpost.exact"}
+
+
+def test_every_public_name_resolves_in_a_fresh_interpreter():
+    script = """
+import json, pigeonpost
+names = list(pigeonpost.__all__)
+for name in names:
+    exec(f"from pigeonpost import {name}")
+    assert getattr(pigeonpost, name) is not None
+assert not hasattr(pigeonpost, "no_such_name")
+print(json.dumps(names))
+"""
+    names = json.loads(fresh_python("-c", script))
+    assert len(names) == len(set(names))
+    assert set(names) == PUBLIC_NAMES | SUBMODULES
+

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import importlib.util
 import sys
 
 # The solver back ends (exact, ilp), the reductions and the generators are
@@ -94,7 +95,17 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         from .exact import SearchLimitError
 
         try:
-            result = _optimal_solver(args)(graph, _limits(args))
+            limits = _limits(args)
+        except ValueError as exc:
+            print(f"error: {exc} (check --budget, --max-nodes, --max-demands, "
+                  "--time-budget)", file=sys.stderr)
+            return EXIT_USAGE
+        if args.algorithm == "ilp" and importlib.util.find_spec("scipy") is None:
+            print("error: --algorithm ilp needs scipy; install the solver extra "
+                  "(pip install 'pigeonpost[solver]')", file=sys.stderr)
+            return EXIT_USAGE
+        try:
+            result = _optimal_solver(args)(graph, limits)
         except SearchLimitError as exc:
             print(f"error: {exc} (raise --max-nodes/--max-demands?)", file=sys.stderr)
             return EXIT_USAGE
@@ -182,7 +193,8 @@ def _add_limit_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-nodes", type=int)
     parser.add_argument("--max-demands", type=int)
     parser.add_argument("--budget", type=int,
-                        help="node-expansion budget for exact searches")
+                        help="node-expansion budget for exact searches; "
+                             "under --algorithm ilp also HiGHS's node limit")
     parser.add_argument("--time-budget", type=float, default=None, metavar="SECONDS")
 
 

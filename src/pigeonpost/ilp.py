@@ -1,7 +1,7 @@
 """0/1 integer models for the 2-hop and multihop problems.
 
-Two model constructors, a small exact solver, plan extraction, and LP
-text export.
+Two model constructors, an exact solve through HiGHS, plan extraction,
+and LP text export.
 
 2-hop model (time slots ``1..2n-2``, which always suffice):
   * ``x_u_v_i``  - the pigeon flying in slot ``i`` goes from u to v,
@@ -19,21 +19,21 @@ position i, and ``y_u_v_i_j`` serving demand ``(u, v)`` by an occurrence
 of u at position i before v at position j.  The optimum counts walk
 nodes, so the pigeon count is the objective minus one per component.
 
-Solving goes through ``solve_binary_model``, which prefers scipy's HiGHS
-backend when available and otherwise falls back to a native depth-first
-0/1 branch and bound with unit propagation over the rows and objective
-bounding.  Both constructors attach their slot structure as ordered
-variable blocks; since only the relative order of slots matters in
-either model, the native solver restricts itself to solutions whose
-used slots form a prefix, and branches slot by slot.
+``solve_binary_model`` hands a model to HiGHS through scipy's ``milp``
+(the ``solver`` extra).
 
 The constructors and ``export_lp`` give the paper formulation as it
-stands.  The planners ``optimal_*_ilp`` solve a tighter version of it
-with the same integer optima (``_tighten``): only the slots up to a
-known upper bound on the optimum are kept (the coordinator count for
-2-hop, ``min(2m - 1, hub count + 1)`` walk positions for multihop), the
-multihop pairwise linking rows are replaced by aggregated ones, and the
-2-hop used slots are forced to form a prefix.  The solution, extended
+stands.  The planners ``optimal_*_ilp`` start, as ``optimal_twohop``
+does, from a heuristic plan, the incumbent: the coordinator plan of the
+graph (2-hop) or of each weakly connected component (multihop).  When
+its count meets the lower bound it is returned as proven optimal; no
+model is built and scipy is not imported.  Otherwise they solve a
+tighter version of the paper model whose solutions are the plans
+with fewer flights than the incumbent (``_tighten``): only ``count - 1``
+flight slots (2-hop) or ``count`` walk positions (multihop) are kept,
+the multihop pairwise linking rows are replaced by aggregated ones, and
+the 2-hop used slots are forced to form a prefix.  When HiGHS proves
+that model infeasible, the incumbent is optimal.  A solution, extended
 with zeros, is checked against every row of the paper model before a
 plan is extracted.
 """
@@ -43,9 +43,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .demand import DemandGraph, weakly_connected_components
-from .exact import SearchLimits, _BudgetExhausted, _Effort
+from .exact import SearchLimits
 from .flightplan import Flight, FlightPlan
-from .planners import PlannerResult, cycle_walk, make_result, plan_coordinator
+from .planners import PlannerResult, make_result, plan_coordinator
 
 
 class ModelError(ValueError):
@@ -71,10 +71,9 @@ class LinearConstraint:
 class BinaryModel:
     """A 0/1 linear minimization program.
 
-    ``slot_blocks`` is an ordered partition of interchangeable time-slot
-    variable groups (at most one active variable per block); solvers may
-    use it as a branching hint and assume used blocks can be compacted
-    to a prefix.
+    ``slot_blocks`` lists the variables of each time slot in slot order
+    (at most one active variable per block).  Only the relative order of
+    slots matters, so the used blocks can be compacted to a prefix.
     """
 
     variables: list[ModelVariable]
@@ -246,9 +245,9 @@ def build_multihop_model(g: DemandGraph) -> BinaryModel:
 class Assignment:
     """Solver outcome; ``values`` satisfies all constraints when feasible.
 
-    ``status`` is one of ``optimal`` (proven), ``feasible`` (budget ran
+    ``status`` is one of ``optimal`` (proven), ``feasible`` (a limit ran
     out with an incumbent), ``infeasible`` (proven empty, within the
-    given upper bound), or ``unknown`` (budget ran out, no incumbent).
+    given upper bound), or ``unknown`` (a limit ran out, no incumbent).
     """
 
     status: str
@@ -262,199 +261,6 @@ class Assignment:
     @property
     def proven_optimal(self) -> bool:
         return self.status == "optimal"
-
-
-class _BranchAndBound:
-    def __init__(self, model: BinaryModel, effort: _Effort, upper_bound: int | None):
-        self.model = model
-        self.effort = effort
-        nvars = len(model.variables)
-        self.value = [-1] * nvars
-        self.cost = [0] * nvars
-        for coeff, var in model.objective:
-            self.cost[var] += coeff
-
-        self.rows = model.constraints
-        self.row_lo = []
-        self.row_hi = []
-        self.row_maxpos = []
-        self.row_minneg = []
-        for row in self.rows:
-            lo = sum(min(c, 0) for c, _ in row.terms)
-            hi = sum(max(c, 0) for c, _ in row.terms)
-            self.row_lo.append(lo)
-            self.row_hi.append(hi)
-            self.row_maxpos.append(max((c for c, _ in row.terms if c > 0), default=0))
-            self.row_minneg.append(min((c for c, _ in row.terms if c < 0), default=0))
-        self.var_rows: list[list[tuple[int, int]]] = [[] for _ in range(nvars)]
-        for r, row in enumerate(self.rows):
-            for coeff, var in row.terms:
-                self.var_rows[var].append((r, coeff))
-
-        self.obj_fixed = 0
-        self.neg_free = sum(c for c in self.cost if c < 0)
-        self.trail: list[int] = []
-        self.best_value = float("inf") if upper_bound is None else upper_bound + 1
-        self.best: dict[str, int] | None = None
-        self.budget_hit = False
-
-    # -- assignment bookkeeping -------------------------------------------
-
-    def _fix(self, var: int, val: int, dirty: set[int]) -> bool:
-        current = self.value[var]
-        if current != -1:
-            return current == val
-        self.value[var] = val
-        self.trail.append(var)
-        cost = self.cost[var]
-        if cost < 0:
-            self.neg_free -= cost
-        if val == 1:
-            self.obj_fixed += cost
-        for r, coeff in self.var_rows[var]:
-            self.row_lo[r] += coeff * val - min(coeff, 0)
-            self.row_hi[r] += coeff * val - max(coeff, 0)
-            dirty.add(r)
-        return True
-
-    def _undo_to(self, mark: int) -> None:
-        while len(self.trail) > mark:
-            var = self.trail.pop()
-            val = self.value[var]
-            self.value[var] = -1
-            cost = self.cost[var]
-            if cost < 0:
-                self.neg_free += cost
-            if val == 1:
-                self.obj_fixed -= cost
-            for r, coeff in self.var_rows[var]:
-                self.row_lo[r] -= coeff * val - min(coeff, 0)
-                self.row_hi[r] -= coeff * val - max(coeff, 0)
-
-    def _propagate(self, dirty: set[int]) -> bool:
-        """Bound propagation to fixpoint; False on conflict."""
-        while dirty:
-            r = dirty.pop()
-            row = self.rows[r]
-            c = row.constant
-            lo, hi = self.row_lo[r], self.row_hi[r]
-            if row.relation in ("<=", "=") and lo > c:
-                return False
-            if row.relation in (">=", "=") and hi < c:
-                return False
-            # Skip the per-variable scan when no fixing can be forced.
-            maxpos, minneg = self.row_maxpos[r], self.row_minneg[r]
-            can_force = False
-            if row.relation in ("<=", "="):
-                can_force |= lo + maxpos > c or lo - minneg > c
-            if row.relation in (">=", "="):
-                can_force |= hi + minneg < c or hi - maxpos < c
-            if not can_force:
-                continue
-            for coeff, var in row.terms:
-                if self.value[var] != -1:
-                    continue
-                lo_rest = self.row_lo[r] - min(coeff, 0)
-                hi_rest = self.row_hi[r] - max(coeff, 0)
-                cannot_one = False
-                cannot_zero = False
-                if row.relation in ("<=", "="):
-                    cannot_one |= lo_rest + coeff > c
-                    cannot_zero |= lo_rest > c
-                if row.relation in (">=", "="):
-                    cannot_one |= hi_rest + coeff < c
-                    cannot_zero |= hi_rest < c
-                if cannot_one and cannot_zero:
-                    return False
-                if cannot_one or cannot_zero:
-                    if not self._fix(var, 0 if cannot_one else 1, dirty):
-                        return False
-        return True
-
-    # -- search ------------------------------------------------------------
-
-    def _objective_floor(self) -> int:
-        return self.obj_fixed + self.neg_free
-
-    def _unresolved_row(self) -> int | None:
-        for r, row in enumerate(self.rows):
-            lo, hi = self.row_lo[r], self.row_hi[r]
-            c = row.constant
-            if row.relation == "<=" and hi > c:
-                return r
-            if row.relation == ">=" and lo < c:
-                return r
-            if row.relation == "=" and (lo < c or hi > c):
-                return r
-        return None
-
-    def _record_solution(self) -> None:
-        values = {}
-        for var, meta in enumerate(self.model.variables):
-            val = self.value[var]
-            if val == -1:
-                val = 1 if self.cost[var] < 0 else 0
-            values[meta.name] = val
-        objective = sum(c * values[self.model.variables[v].name] for c, v in self.model.objective)
-        if objective < self.best_value:
-            self.best_value = objective
-            self.best = values
-
-    def _branch(self, var: int, val: int, block_cursor: int) -> None:
-        mark = len(self.trail)
-        dirty: set[int] = set()
-        if self._fix(var, val, dirty) and self._propagate(dirty):
-            self._search(block_cursor)
-        self._undo_to(mark)
-
-    def _close_blocks(self, block_cursor: int) -> None:
-        mark = len(self.trail)
-        dirty: set[int] = set()
-        ok = True
-        for idx in range(block_cursor, len(self.model.slot_blocks)):
-            for var in self.model.slot_blocks[idx]:
-                if self.value[var] == -1 and not self._fix(var, 0, dirty):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok and self._propagate(dirty):
-            self._search(len(self.model.slot_blocks))
-        self._undo_to(mark)
-
-    def _search(self, block_cursor: int) -> None:
-        try:
-            self.effort.spend()
-        except _BudgetExhausted:
-            self.budget_hit = True
-            raise
-        if self._objective_floor() >= self.best_value:
-            return
-
-        blocks = self.model.slot_blocks
-        cursor = block_cursor
-        while cursor < len(blocks) and all(
-            self.value[v] != -1 for v in blocks[cursor]
-        ):
-            cursor += 1
-        if cursor < len(blocks):
-            # Slots are order-interchangeable: try an empty tail first
-            # (cheapest completions early), then each candidate flight.
-            self._close_blocks(cursor)
-            for var in blocks[cursor]:
-                if self.value[var] == -1:
-                    self._branch(var, 1, cursor + 1)
-            return
-
-        r = self._unresolved_row()
-        if r is None:
-            self._record_solution()
-            return
-        row = self.rows[r]
-        branch_var = next(var for _c, var in row.terms if self.value[var] == -1)
-        prefer = 1 if row.relation in (">=", "=") else 0
-        self._branch(branch_var, prefer, block_cursor)
-        self._branch(branch_var, 1 - prefer, block_cursor)
 
 
 def _row_holds(row: LinearConstraint, total: int) -> bool:
@@ -473,30 +279,24 @@ def _verify_assignment(model: BinaryModel, values: dict[str, int]) -> None:
             raise ModelError(f"solver returned values violating {row.name}")
 
 
-def _solve_native(
-    model: BinaryModel, limits: SearchLimits, upper_bound: int | None
+def solve_binary_model(
+    model: BinaryModel,
+    limits: SearchLimits = SearchLimits(),
+    upper_bound: int | None = None,
 ) -> Assignment:
-    effort = _Effort(limits)
-    solver = _BranchAndBound(model, effort, upper_bound)
-    dirty = set(range(len(model.constraints)))
-    feasible_root = solver._propagate(dirty)
-    if feasible_root:
-        try:
-            solver._search(0)
-        except _BudgetExhausted:
-            pass
+    """Exact 0/1 minimization with HiGHS; ``upper_bound`` is an inclusive cap.
 
-    if solver.best is not None:
-        status = "feasible" if solver.budget_hit else "optimal"
-        return Assignment(status, solver.best, int(solver.best_value))
-    if solver.budget_hit:
-        return Assignment("unknown", {}, None)
-    return Assignment("infeasible", {}, None)
+    With a cap, "infeasible" means no solution with objective at or
+    below the cap exists.  ``limits.expansion_budget`` is HiGHS's node
+    limit and ``limits.time_budget`` its time limit.  Needs numpy and
+    scipy (the ``solver`` extra) unless the model has no variables.
+    """
+    if not model.variables:
+        # The empty assignment is the only point; it may still fail a row.
+        if all(_row_holds(row, 0) for row in model.constraints):
+            return Assignment("optimal", {}, 0)
+        return Assignment("infeasible", {}, None)
 
-
-def _solve_highs(
-    model: BinaryModel, limits: SearchLimits, upper_bound: int | None
-) -> Assignment:
     import numpy as np
     from scipy import sparse
     from scipy.optimize import Bounds, LinearConstraint, milp
@@ -565,35 +365,6 @@ def _solve_highs(
         return Assignment("unknown", {}, None)
     status = "optimal" if result.status == 0 else "feasible"
     return Assignment(status, values, objective)
-
-
-def solve_binary_model(
-    model: BinaryModel,
-    limits: SearchLimits = SearchLimits(),
-    upper_bound: int | None = None,
-    engine: str = "auto",
-) -> Assignment:
-    """Exact 0/1 minimization; ``upper_bound`` is an inclusive cap.
-
-    With a cap, "infeasible" means no solution with objective at or
-    below the cap exists.  ``engine`` is ``auto`` (HiGHS via scipy when
-    importable, else the native branch and bound), ``highs``, or
-    ``native``.
-    """
-    if not model.variables:
-        return Assignment("optimal", {}, 0)
-    if engine == "auto":
-        try:
-            import scipy.optimize  # noqa: F401
-
-            engine = "highs"
-        except ImportError:
-            engine = "native"
-    if engine == "highs":
-        return _solve_highs(model, limits, upper_bound)
-    if engine == "native":
-        return _solve_native(model, limits, upper_bound)
-    raise ValueError(f"unknown engine {engine!r}")
 
 
 def extract_plan(kind: str, g: DemandGraph, model: BinaryModel, assignment: Assignment) -> FlightPlan:
@@ -695,9 +466,9 @@ def _restrict_slots(model: BinaryModel, slots: int) -> BinaryModel:
 def _tighten(kind: str, model: BinaryModel, slots: int) -> BinaryModel:
     """The paper model as the solve path hands it to the solver.
 
-    Only slots ``1..slots`` are kept; ``slots`` bounds the optimum, and
-    only the relative order of slots matters, so the optimum is kept.
-    Variable names and slot blocks carry over.
+    Only slots ``1..slots`` are kept.  Only the relative order of slots
+    matters, so the solutions are those of the paper model that use at
+    most ``slots`` slots.  Variable names and slot blocks carry over.
     """
     model = _restrict_slots(model, slots)
     constraints = list(model.constraints)
@@ -736,9 +507,10 @@ def _solve_tightened(
 
     The solution, extended with zeros for the dropped variables, must
     satisfy every row of the paper ``model``, so a transform bug raises
-    ``ModelError`` rather than yield a wrong plan.
+    ``ModelError`` rather than yield a wrong plan.  No objective cap is
+    passed: the slot rows already bound the objective by ``slots``.
     """
-    result = solve_binary_model(_tighten(kind, model, slots), limits, upper_bound=slots)
+    result = solve_binary_model(_tighten(kind, model, slots), limits)
     if not result.feasible:
         return result
     values = dict.fromkeys((var.name for var in model.variables), 0)
@@ -748,23 +520,43 @@ def _solve_tightened(
 
 
 def optimal_twohop_ilp(g: DemandGraph, limits: SearchLimits = SearchLimits()) -> PlannerResult:
-    """2-hop optimum via the slot model; the coordinator plan's count caps the slots."""
+    """2-hop optimum via the slot model, searched below the coordinator plan.
+
+    The coordinator plan is the incumbent.  When its count meets the
+    lower bound ``max(|S|, |D|)`` it is optimal and no model is solved.
+    Otherwise the model keeps ``count - 1`` slots, so HiGHS either finds
+    a plan with fewer flights or proves, by infeasibility, that none
+    exists.
+    """
     limits.check_size(g.n, len(g.demands), "graph")
-    fallback = plan_coordinator(g)
-    if not g.demands:
-        return make_result(g, [], "twohop", "ilp", proven_optimal=True)
+    incumbent = plan_coordinator(g)
+    if incumbent.count == incumbent.lower_bound:
+        return replace(incumbent, algorithm="ilp", proven_optimal=True)
     model = build_twohop_model(g)
-    result = _solve_tightened("twohop", model, fallback.count, limits)
-    if result.status == "infeasible":
-        raise ModelError("2-hop model infeasible below a feasible plan; model bug")
-    if not result.proven_optimal:
-        return replace(fallback, algorithm="ilp", proven_optimal=False)
+    result = _solve_tightened("twohop", model, incumbent.count - 1, limits)
+    if not result.feasible:
+        # Infeasible: nothing beats the incumbent.  Unknown: a limit ran out.
+        return replace(
+            incumbent, algorithm="ilp", proven_optimal=result.status == "infeasible"
+        )
     plan = extract_plan("twohop", g, model, result)
-    return make_result(g, list(plan.flights), "twohop", "ilp", proven_optimal=True)
+    return make_result(
+        g, list(plan.flights), "twohop", "ilp", proven_optimal=result.proven_optimal
+    )
 
 
 def optimal_multihop_ilp(g: DemandGraph, limits: SearchLimits = SearchLimits()) -> PlannerResult:
-    """Multihop optimum: one walk model per weakly connected component."""
+    """Multihop optimum: one walk model per weakly connected component.
+
+    Each component's incumbent is its coordinator plan.  On ``m`` nodes
+    it has at most ``2m - 2`` flights (one per other source, one per
+    other destination), so it never loses to the cycle walk.  The flights
+    of any plan connect all ``m`` nodes, so ``max(m - 1, |S|, |D|)``
+    bounds the component; an incumbent that meets it is optimal and no
+    model is solved.  Otherwise the walk model keeps as many positions
+    as the incumbent has flights, so a solution is a walk with fewer
+    flights, and infeasibility proves the incumbent optimal.
+    """
     partition = weakly_connected_components(g)
     flights: list[Flight] = []
     proven = True
@@ -772,18 +564,16 @@ def optimal_multihop_ilp(g: DemandGraph, limits: SearchLimits = SearchLimits()) 
         sub = g.restricted_to(comp)
         m = len(comp)
         limits.check_size(m, len(sub.demands), "component")
-        hub_count = plan_coordinator(sub).count
-        cap = min(2 * m - 1, hub_count + 1)
+        incumbent = plan_coordinator(sub)
+        if incumbent.count == max(m - 1, incumbent.lower_bound):
+            flights.extend(incumbent.plan.flights)
+            continue
         model = build_multihop_model(sub)
-        result = _solve_tightened("multihop", model, cap, limits)
-        if result.status == "infeasible":
-            raise ModelError("multihop model infeasible below a feasible walk; model bug")
+        result = _solve_tightened("multihop", model, incumbent.count, limits)
         if result.feasible:
-            component_plan = extract_plan("multihop", sub, model, result)
-            flights.extend(component_plan.flights)
+            flights.extend(extract_plan("multihop", sub, model, result).flights)
             proven = proven and result.proven_optimal
         else:
-            walk = cycle_walk(sorted(comp))
-            flights.extend(Flight(a, b) for a, b in zip(walk, walk[1:]))
-            proven = False
+            flights.extend(incumbent.plan.flights)
+            proven = proven and result.status == "infeasible"
     return make_result(g, flights, "multihop", "ilp", proven_optimal=proven)

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -213,3 +214,27 @@ def test_ilp_over_size_limit_exits_two(tmp_path, capsys, mode):
     code, out = run(capsys, "solve", str(path), "--mode", mode, "--algorithm", "ilp")
     assert code == 2
     assert out == ""
+
+
+@pytest.mark.parametrize("algorithm", ["exact", "ilp"])
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--budget", "0"), ("--max-nodes", "0"), ("--max-demands", "0"), ("--time-budget", "-1")],
+)
+def test_limit_flag_out_of_range_exits_two(demo_file, capsys, algorithm, flag, value):
+    code = main(["solve", demo_file, "--mode", "twohop", "--algorithm", algorithm, flag, value])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+def test_ilp_without_scipy_exits_two(demo_file, capsys, monkeypatch):
+    monkeypatch.setitem(sys.modules, "scipy", None)  # ``import scipy`` now fails
+    code = main(["solve", demo_file, "--mode", "twohop", "--algorithm", "ilp"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "pigeonpost[solver]" in captured.err

@@ -23,9 +23,10 @@ from pigeonpost import (
 )
 from pigeonpost import ilp
 from pigeonpost.exact import SearchLimits
-from pigeonpost.instances import cycle_graph, demo_graph
+from pigeonpost.ilp import LinearConstraint
+from pigeonpost.instances import cycle_graph, demo_graph, star_graph
 
-from conftest import random_connected_demand_graph
+from conftest import random_connected_demand_graph, random_demand_graph
 from test_acceptance import _all_connected_graphs_n3
 
 DATA = Path(__file__).parent / "data"
@@ -115,23 +116,17 @@ def test_extract_empty_model():
     assert plan.count == 0
 
 
-def test_native_and_highs_engines_agree():
-    rng = random.Random(5)
-    for _ in range(6):
-        g = random_connected_demand_graph(rng, 3)
-        for build in (build_twohop_model, build_multihop_model):
-            model = build(g)
-            native = solve_binary_model(model, engine="native")
-            highs = solve_binary_model(model, engine="highs")
-            assert native.objective == highs.objective
-            assert native.status == highs.status == "optimal"
-
-
 def test_infeasible_under_cap():
     model = build_multihop_model(DemandGraph.from_pairs(2, [(0, 1)]))
-    for engine in ("native", "highs"):
-        result = solve_binary_model(model, upper_bound=1, engine=engine)
-        assert result.status == "infeasible"
+    assert solve_binary_model(model, upper_bound=1).status == "infeasible"
+
+
+def test_empty_model_failing_a_row_is_infeasible():
+    # What ``_restrict_slots`` leaves when it drops every variable of a cover row.
+    model = BinaryModel([], [LinearConstraint("c", (), ">=", 1)], ())
+    result = solve_binary_model(model)
+    assert result.status == "infeasible"
+    assert not result.feasible
 
 
 def test_export_lp_empty_model():
@@ -209,32 +204,103 @@ TIGHTENED_CASES = [(f"n3-{i}", g) for i, g in enumerate(_all_connected_graphs_n3
 TIGHTENED_CASES.append(("demo", demo_graph()))
 
 
+def _incumbent_and_bound(kind: str, g: DemandGraph) -> tuple[int, int]:
+    """The coordinator count of a connected ``g`` and the bound the planner holds it to."""
+    hub = plan_coordinator(g)
+    if kind == "twohop":
+        return hub.count, hub.lower_bound
+    return hub.count, max(g.n - 1, hub.lower_bound)
+
+
 @pytest.mark.parametrize(
-    "planner, exact, build",
+    "planner, exact, build, kind",
     [
-        (optimal_twohop_ilp, optimal_twohop, build_twohop_model),
-        (optimal_multihop_ilp, optimal_multihop, build_multihop_model),
+        (optimal_twohop_ilp, optimal_twohop, build_twohop_model, "twohop"),
+        (optimal_multihop_ilp, optimal_multihop, build_multihop_model, "multihop"),
     ],
     ids=["twohop", "multihop"],
 )
-def test_tightened_solve_keeps_optimum_and_paper_rows(solved, planner, exact, build):
+def test_tightened_solve_keeps_optimum_and_paper_rows(solved, planner, exact, build, kind):
     assert len(TIGHTENED_CASES) == 55  # all 54 connected 3-node graphs and the demo
+    paths = set()
     for label, g in TIGHTENED_CASES:
         solved.clear()
         result = planner(g)
         assert result.proven_optimal, label
         assert result.count == exact(g).count, label
-        paper = build(g)
+        incumbent, bound = _incumbent_and_bound(kind, g)
+        if not solved:
+            # Decided by the bound, without a solver call.
+            assert result.count == incumbent == bound, label
+            paths.add("bound")
+            continue
         ((_, assignment),) = solved
+        if assignment.status == "infeasible":
+            # Nothing beats the incumbent, which is returned as proven.
+            assert result.count == incumbent > bound, label
+            paths.add("infeasible")
+            continue
+        assert assignment.proven_optimal, label
+        assert result.count < incumbent, label
+        paper = build(g)
         assert set(assignment.values) <= {v.name for v in paper.variables}, label
         assert _violated_rows(paper, assignment.values) == [], label
+        paths.add("solved")
+    assert paths == {"bound", "infeasible", "solved"}
 
 
-def test_solved_multihop_demo_model_is_the_tightened_one(solved):
-    optimal_multihop_ilp(demo_graph())
+def test_solved_multihop_model_is_the_tightened_one(solved):
+    # The 4-cycle's coordinator plan has 6 flights and reaches HiGHS.
+    result = optimal_multihop_ilp(cycle_graph(4))
+    assert result.count == 4 and result.proven_optimal
     ((model, _),) = solved
-    # 6 slots (hub count 5, plus one) x 6 nodes; 6 demands x C(6, 2) pairs
-    assert len(model.variables) == 36 + 90
-    # 6 slot + 6 serve + 6 demands x (5 out + 5 in) linking rows
-    assert len(model.constraints) == 6 + 6 + 60
+    # 6 walk positions (the incumbent's flights) x 4 nodes; 4 demands x C(6, 2) pairs
+    assert len(model.variables) == 24 + 60
+    # 6 slot + 4 serve + 4 demands x (5 out + 5 in) linking rows
+    assert len(model.constraints) == 6 + 4 + 40
     assert not any(row.name.startswith("place_") for row in model.constraints)
+
+
+def test_count_at_the_bound_calls_no_solver(solved):
+    g = star_graph(5)
+    result = optimal_twohop_ilp(g)
+    assert solved == []
+    assert result.proven_optimal
+    assert result.count == plan_coordinator(g).count == result.lower_bound
+
+
+def test_infeasible_model_proves_the_incumbent(solved):
+    g = demo_graph()
+    hub = plan_coordinator(g)
+    result = optimal_twohop_ilp(g)
+    ((model, assignment),) = solved
+    assert len(model.slot_blocks) == hub.count - 1 == 4
+    assert assignment.status == "infeasible"
+    assert result.proven_optimal
+    assert result.plan == hub.plan and result.algorithm == "ilp"
+
+
+@pytest.mark.parametrize("planner", [optimal_twohop_ilp, optimal_multihop_ilp])
+def test_solve_finds_a_plan_below_the_incumbent(solved, planner):
+    g = cycle_graph(4)
+    result = planner(g)
+    ((_, assignment),) = solved
+    assert assignment.proven_optimal
+    assert result.proven_optimal
+    assert result.count == 4 < plan_coordinator(g).count == 6
+
+
+def test_ilp_planners_match_exact_on_random_graphs():
+    # 120 graphs of 2-4 nodes, some with several components; all three
+    # paths (bound, infeasible, solved) occur in both regimes.
+    rng = random.Random(2024)
+    for _ in range(120):
+        g = random_demand_graph(rng, rng.randint(2, 4), rng.choice([0.2, 0.3, 0.4, 0.5]))
+        for planner, exact, verify in (
+            (optimal_twohop_ilp, optimal_twohop, verify_twohop),
+            (optimal_multihop_ilp, optimal_multihop, verify_multihop),
+        ):
+            result = planner(g)
+            assert result.proven_optimal, g.demands
+            assert result.count == exact(g).count, g.demands
+            assert verify(g, result.plan).satisfied, g.demands

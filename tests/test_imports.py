@@ -20,13 +20,14 @@ from pigeonpost.planners import plan_coordinator
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Runs pigeonpost.cli.main on argv, then prints its exit code and the
-# pigeonpost modules loaded.
+# pigeonpost, scipy and numpy modules loaded.
 RUN_CLI = """
 import contextlib, io, json, sys
 from pigeonpost.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("pigeonpost"))]))
+packages = ("pigeonpost", "scipy", "numpy")
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] in packages)]))
 """
 
 SOLVER_MODULES = {"pigeonpost.exact", "pigeonpost.ilp", "pigeonpost.reductions"}
@@ -100,6 +101,14 @@ def test_exact_solve_loads_only_the_exact_solver(files):
     code, modules = cli_modules("solve", files["graph"], "--mode", "multihop", "--algorithm", "exact")
     assert code == 0
     assert modules & SOLVER_MODULES == {"pigeonpost.exact"}
+
+
+def test_ilp_solve_decided_by_the_bound_loads_no_scipy(files):
+    # The demo's multihop coordinator plan has m - 1 = 5 flights.
+    code, modules = cli_modules("solve", files["graph"], "--mode", "multihop", "--algorithm", "ilp")
+    assert code == 0
+    assert "pigeonpost.ilp" in modules
+    assert not {m.split(".")[0] for m in modules} & {"scipy", "numpy"}
 
 
 def test_every_public_name_resolves_in_a_fresh_interpreter():

@@ -26,7 +26,7 @@ def main():
     print(f"2-hop model for {sorted(g.demands)}: "
           f"{len(two.variables)} vars, {len(two.constraints)} constraints")
     answer = solve_binary_model(two)
-    plan = extract_plan("twohop", g, two, answer)
+    plan = extract_plan("twohop", two, answer)
     print(f"  optimum {answer.objective} -> flights "
           f"{[(f.remote, f.home) for f in plan.flights]}, "
           f"verifies: {verify_twohop(g, plan).satisfied}")
@@ -35,7 +35,7 @@ def main():
     ring = cycle_graph(4)
     multi = build_multihop_model(ring)
     answer = solve_binary_model(multi)
-    plan = extract_plan("multihop", ring, multi, answer)
+    plan = extract_plan("multihop", multi, answer)
     print(f"multihop model for the 4-cycle: objective {answer.objective} "
           f"walk positions = {answer.objective - 1} pigeons")
     print(f"  extracted walk verifies: {verify_multihop(ring, plan).satisfied}")

@@ -27,8 +27,6 @@ _EXPORTS = {
     ),
     "exact": (
         "OptimalityCertificate",
-        "SearchLimitError",
-        "SearchLimits",
         "certify",
         "optimal_multihop",
         "optimal_twohop",
@@ -63,6 +61,8 @@ _EXPORTS = {
     "planners": (
         "ApproximationReport",
         "PlannerResult",
+        "SearchLimitError",
+        "SearchLimits",
         "approximation_report",
         "plan_coordinator",
         "plan_cycle",

@@ -19,7 +19,13 @@ import sys
 from .demand import DemandGraphError, lower_bound, parse_demand_graph
 from .flightplan import FlightPlanError, parse_flight_plan, verify
 from .jsonutil import canonical_dumps
-from .planners import plan_coordinator, plan_cycle, plan_singlehop
+from .planners import (
+    SearchLimitError,
+    SearchLimits,
+    plan_coordinator,
+    plan_cycle,
+    plan_singlehop,
+)
 
 EXIT_OK = 0
 EXIT_UNSATISFIED = 1
@@ -54,10 +60,8 @@ def _write(path: str, text: str) -> None:
             handle.write(text)
 
 
-def _limits(args: argparse.Namespace):
+def _limits(args: argparse.Namespace) -> SearchLimits:
     """``SearchLimits`` from the limit flags that were given."""
-    from .exact import SearchLimits
-
     flags = {
         "max_nodes": args.max_nodes,
         "max_demands": args.max_demands,
@@ -92,8 +96,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     elif args.algorithm == "cycle":
         result = plan_cycle(graph)
     else:
-        from .exact import SearchLimitError
-
         try:
             limits = _limits(args)
         except ValueError as exc:

@@ -32,53 +32,18 @@ from heapq import heappop, heappush
 from .demand import DemandGraph, lower_bound, weakly_connected_components
 from .flightplan import Flight, verify
 from .jsonutil import canonical_dumps
-from .planners import PlannerResult, cycle_walk, make_result, plan_coordinator
-
-
-class SearchLimitError(ValueError):
-    """Instance exceeds the structural limits of the exact solvers."""
+from .planners import (  # SearchLimitError is re-exported for callers of this module
+    PlannerResult,
+    SearchLimitError,
+    SearchLimits,
+    cycle_walk,
+    make_result,
+    plan_coordinator,
+)
 
 
 class _BudgetExhausted(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class SearchLimits:
-    """Structural and effort caps for the exact searches.
-
-    ``max_nodes`` bounds the whole graph for the 2-hop search and each
-    component for the multihop search.  ``max_walk_flights`` optionally
-    caps the per-component walk; the default is the always-sufficient
-    ``2m - 2``.  Budgets are soft: exceeding them degrades to a feasible
-    but unproven answer instead of failing.
-    """
-
-    max_nodes: int = 10
-    max_demands: int = 40
-    max_walk_flights: int | None = None
-    expansion_budget: int = 5_000_000
-    time_budget: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.max_nodes <= 0 or self.max_demands <= 0 or self.expansion_budget <= 0:
-            raise ValueError("search limits must be positive")
-        if self.max_walk_flights is not None and self.max_walk_flights <= 0:
-            raise ValueError("search limits must be positive")
-        if self.time_budget is not None and self.time_budget <= 0:
-            raise ValueError("search limits must be positive")
-
-    def check_size(self, nodes: int, demands: int, scope: str) -> None:
-        """Raise ``SearchLimitError`` when ``scope`` (a graph or one
-        component) has more nodes or demands than the limits allow."""
-        if nodes > self.max_nodes:
-            raise SearchLimitError(
-                f"{scope} with {nodes} nodes exceeds max_nodes={self.max_nodes}"
-            )
-        if demands > self.max_demands:
-            raise SearchLimitError(
-                f"{scope} with {demands} demands exceeds max_demands={self.max_demands}"
-            )
 
 
 class _Effort:
@@ -102,7 +67,6 @@ class _Effort:
 def _min_covering_walk(
     nodes: list[int],
     demands: Iterable[tuple[int, int]],
-    limits: SearchLimits,
     effort: _Effort,
 ) -> list[int]:
     """Shortest walk over ``nodes`` serving every demand; raises on budget.
@@ -128,9 +92,7 @@ def _min_covering_walk(
     sat_shift = m + cb  # where ``satisfied`` starts inside a key
     current_mask = (1 << cb) - 1
     all_nodes_mask = (1 << m) - 1
-    max_flights = limits.max_walk_flights
-    if max_flights is None:
-        max_flights = 2 * m - 2
+    max_flights = 2 * m - 2  # the cycle walk's length
 
     # wanted[x]: the demands (u, x) into x, already at their key position.
     wanted = [0] * m
@@ -195,8 +157,8 @@ def _min_covering_walk(
 
     if goal is None:
         # The cycle walk is always feasible within 2m - 2 flights, so an
-        # exhausted heap means the caller capped the walk too tightly.
-        raise SearchLimitError("walk cap excludes every feasible covering walk")
+        # exhausted heap means the search itself is wrong.
+        raise RuntimeError("solver bug: no covering walk within 2m - 2 flights")
 
     walk_local: list[int] = []
     key: int | None = goal
@@ -221,7 +183,7 @@ def optimal_multihop(g: DemandGraph, limits: SearchLimits = SearchLimits()) -> P
         comp_demands = g.restricted_to(comp).demands
         limits.check_size(len(nodes), len(comp_demands), "component")
         try:
-            walk = _min_covering_walk(nodes, comp_demands, limits, effort)
+            walk = _min_covering_walk(nodes, comp_demands, effort)
         except _BudgetExhausted:
             walk = cycle_walk(nodes)
             proven = False
@@ -308,7 +270,7 @@ class _TwoHopSearch:
 def optimal_twohop(g: DemandGraph, limits: SearchLimits = SearchLimits()) -> PlannerResult:
     """Provably minimal 2-hop plan via iterative deepening.
 
-    Flight counts run from the universal lower bound up to the
+    Flight counts run from the component-wise lower bound up to the
     coordinator plan's count, which is itself a feasible 2-hop solution;
     the first feasible count is optimal.  On budget exhaustion the
     coordinator plan is returned unproven.
@@ -318,7 +280,7 @@ def optimal_twohop(g: DemandGraph, limits: SearchLimits = SearchLimits()) -> Pla
     effort = _Effort(limits)
     search = _TwoHopSearch(g, effort)
     try:
-        for k in range(fallback.lower_bound, fallback.count):
+        for k in range(lower_bound(g).component_total, fallback.count):
             found = search.find_plan(k)
             if found is not None:
                 flights = [Flight(a, b) for a, b in found]

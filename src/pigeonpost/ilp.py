@@ -22,30 +22,31 @@ nodes, so the pigeon count is the objective minus one per component.
 ``solve_binary_model`` hands a model to HiGHS through scipy's ``milp``
 (the ``solver`` extra).
 
-The constructors and ``export_lp`` give the paper formulation as it
-stands.  The planners ``optimal_*_ilp`` start, as ``optimal_twohop``
-does, from a heuristic plan, the incumbent: the coordinator plan of the
-graph (2-hop) or of each weakly connected component (multihop).  When
-its count meets the lower bound it is returned as proven optimal; no
-model is built and scipy is not imported.  Otherwise they solve a
-tighter version of the paper model whose solutions are the plans
-with fewer flights than the incumbent (``_tighten``): only ``count - 1``
-flight slots (2-hop) or ``count`` walk positions (multihop) are kept,
-the multihop pairwise linking rows are replaced by aggregated ones, and
-the 2-hop used slots are forced to form a prefix.  When HiGHS proves
-that model infeasible, the incumbent is optimal.  A solution, extended
-with zeros, is checked against every row of the paper model before a
-plan is extracted.
+The constructors take the slot count as an optional argument; the
+default is the paper's, which ``export_lp`` writes.  Only the relative
+order of slots matters, so with ``k`` slots the solutions are the plans
+of the paper model that use at most ``k`` slots.  The planners
+``optimal_*_ilp`` start, as ``optimal_twohop`` does, from a heuristic
+plan, the incumbent: the coordinator plan of the graph (2-hop) or of
+each weakly connected component (multihop).  When its count meets the
+lower bound it is returned as proven optimal; no model is built and
+scipy is not imported.  Otherwise they build the model at the
+incumbent's slot count, ``count - 1`` flight slots (2-hop) or ``count``
+walk positions (multihop), so its solutions are the plans with fewer
+flights than the incumbent.  ``_tighten`` replaces the multihop pairwise
+linking rows by aggregated ones and forces the used 2-hop slots to form
+a prefix.  When HiGHS proves that model infeasible, the incumbent is
+optimal.  A solution is checked against every row of the model as built
+before a plan is extracted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .demand import DemandGraph, weakly_connected_components
-from .exact import SearchLimits
+from .demand import DemandGraph, lower_bound, weakly_connected_components
 from .flightplan import Flight, FlightPlan
-from .planners import PlannerResult, make_result, plan_coordinator
+from .planners import PlannerResult, SearchLimits, make_result, plan_coordinator
 
 
 class ModelError(ValueError):
@@ -69,17 +70,11 @@ class LinearConstraint:
 
 @dataclass
 class BinaryModel:
-    """A 0/1 linear minimization program.
-
-    ``slot_blocks`` lists the variables of each time slot in slot order
-    (at most one active variable per block).  Only the relative order of
-    slots matters, so the used blocks can be compacted to a prefix.
-    """
+    """A 0/1 linear minimization program."""
 
     variables: list[ModelVariable]
     constraints: list[LinearConstraint]
     objective: tuple[tuple[int, int], ...]
-    slot_blocks: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self) -> None:
         for row in self.constraints:
@@ -92,8 +87,12 @@ def _ordered_pairs(n: int) -> list[tuple[int, int]]:
     return [(u, v) for u in range(n) for v in range(n) if u != v]
 
 
-def build_twohop_model(g: DemandGraph) -> BinaryModel:
-    """Flight-slot model; optimum equals the minimal 2-hop pigeon count."""
+def build_twohop_model(g: DemandGraph, slots: int | None = None) -> BinaryModel:
+    """Flight-slot model; optimum equals the minimal 2-hop pigeon count.
+
+    ``slots`` defaults to ``2n - 2``; with fewer, the solutions are the
+    plans of at most ``slots`` flights.
+    """
     n = g.n
     demands = g.sorted_demands()
     if demands and n < 2:
@@ -101,19 +100,16 @@ def build_twohop_model(g: DemandGraph) -> BinaryModel:
     if n < 2:
         return BinaryModel([], [], ())
 
-    slots = 2 * n - 2
+    if slots is None:
+        slots = 2 * n - 2
     pairs = _ordered_pairs(n)
 
     variables: list[ModelVariable] = []
     x_id: dict[tuple[int, int, int], int] = {}
-    blocks: list[tuple[int, ...]] = []
     for i in range(1, slots + 1):
-        block = []
         for u, v in pairs:
             x_id[(u, v, i)] = len(variables)
             variables.append(ModelVariable(f"x_{u}_{v}_{i}", "x", (u, v, i)))
-            block.append(x_id[(u, v, i)])
-        blocks.append(tuple(block))
 
     y_id: dict[tuple[int, int, int, int], int] = {}
     for u, v in demands:
@@ -162,15 +158,17 @@ def build_twohop_model(g: DemandGraph) -> BinaryModel:
                 )
 
     objective = tuple((1, var) for var in x_id.values())
-    return BinaryModel(variables, constraints, objective, tuple(blocks))
+    return BinaryModel(variables, constraints, objective)
 
 
-def build_multihop_model(g: DemandGraph) -> BinaryModel:
+def build_multihop_model(g: DemandGraph, slots: int | None = None) -> BinaryModel:
     """Walk-position model for one weakly connected demand set.
 
     The optimum counts walk positions: pigeons used is the objective
-    minus one.  Demand graphs with several components must be split by
-    the caller (see ``optimal_multihop_ilp``).
+    minus one.  ``slots`` defaults to ``2m``; with fewer, the solutions
+    are the walks of at most ``slots`` positions.  Demand graphs with
+    several components must be split by the caller (see
+    ``optimal_multihop_ilp``).
     """
     partition = weakly_connected_components(g)
     if not partition.components:
@@ -183,19 +181,15 @@ def build_multihop_model(g: DemandGraph) -> BinaryModel:
 
     nodes = sorted(partition.components[0])
     demands = g.sorted_demands()
-    m = len(nodes)
-    slots = 2 * m
+    if slots is None:
+        slots = 2 * len(nodes)
 
     variables: list[ModelVariable] = []
     x_id: dict[tuple[int, int], int] = {}
-    blocks: list[tuple[int, ...]] = []
     for i in range(1, slots + 1):
-        block = []
         for v in nodes:
             x_id[(v, i)] = len(variables)
             variables.append(ModelVariable(f"x_{v}_{i}", "x", (v, i)))
-            block.append(x_id[(v, i)])
-        blocks.append(tuple(block))
 
     y_id: dict[tuple[int, int, int, int], int] = {}
     for u, v in demands:
@@ -238,7 +232,7 @@ def build_multihop_model(g: DemandGraph) -> BinaryModel:
                 )
 
     objective = tuple((1, var) for var in x_id.values())
-    return BinaryModel(variables, constraints, objective, tuple(blocks))
+    return BinaryModel(variables, constraints, objective)
 
 
 @dataclass
@@ -246,8 +240,8 @@ class Assignment:
     """Solver outcome; ``values`` satisfies all constraints when feasible.
 
     ``status`` is one of ``optimal`` (proven), ``feasible`` (a limit ran
-    out with an incumbent), ``infeasible`` (proven empty, within the
-    given upper bound), or ``unknown`` (a limit ran out, no incumbent).
+    out with an incumbent), ``infeasible`` (proven empty), or ``unknown``
+    (a limit ran out, no incumbent).
     """
 
     status: str
@@ -279,17 +273,12 @@ def _verify_assignment(model: BinaryModel, values: dict[str, int]) -> None:
             raise ModelError(f"solver returned values violating {row.name}")
 
 
-def solve_binary_model(
-    model: BinaryModel,
-    limits: SearchLimits = SearchLimits(),
-    upper_bound: int | None = None,
-) -> Assignment:
-    """Exact 0/1 minimization with HiGHS; ``upper_bound`` is an inclusive cap.
+def solve_binary_model(model: BinaryModel, limits: SearchLimits = SearchLimits()) -> Assignment:
+    """Exact 0/1 minimization with HiGHS.
 
-    With a cap, "infeasible" means no solution with objective at or
-    below the cap exists.  ``limits.expansion_budget`` is HiGHS's node
-    limit and ``limits.time_budget`` its time limit.  Needs numpy and
-    scipy (the ``solver`` extra) unless the model has no variables.
+    ``limits.expansion_budget`` is HiGHS's node limit and
+    ``limits.time_budget`` its time limit.  Needs numpy and scipy (the
+    ``solver`` extra) unless the model has no variables.
     """
     if not model.variables:
         # The empty assignment is the only point; it may still fail a row.
@@ -326,14 +315,6 @@ def solve_binary_model(
             lower.append(row.constant)
             upper.append(row.constant)
     nrows = len(model.constraints)
-    if upper_bound is not None and model.objective:
-        for coeff, var in model.objective:
-            rows.append(nrows)
-            cols.append(var)
-            data.append(coeff)
-        lower.append(-np.inf)
-        upper.append(upper_bound)
-        nrows += 1
 
     constraints = None
     if nrows:
@@ -361,13 +342,11 @@ def solve_binary_model(
     objective = sum(
         coeff * values[model.variables[var].name] for coeff, var in model.objective
     )
-    if upper_bound is not None and objective > upper_bound:
-        return Assignment("unknown", {}, None)
     status = "optimal" if result.status == 0 else "feasible"
     return Assignment(status, values, objective)
 
 
-def extract_plan(kind: str, g: DemandGraph, model: BinaryModel, assignment: Assignment) -> FlightPlan:
+def extract_plan(kind: str, model: BinaryModel, assignment: Assignment) -> FlightPlan:
     """Turn a feasible assignment into the flight plan it encodes.
 
     2-hop: each active ``x_u_v_i`` is a flight at slot ``i``; slots are
@@ -439,40 +418,13 @@ def export_lp(model: BinaryModel) -> str:
     return "\n".join(out) + "\n"
 
 
-def _restrict_slots(model: BinaryModel, slots: int) -> BinaryModel:
-    """``model`` with every variable of a slot after ``slots`` fixed to 0 and dropped.
+def _tighten(kind: str, model: BinaryModel) -> BinaryModel:
+    """A model from ``build_*_model`` as the solve path hands it to the solver.
 
-    A variable's last index is its latest slot in both models.  Rows
-    lose the dropped terms, and a row left empty goes when 0 satisfies it.
+    The variables stay as they are.  The multihop rows keep every 0/1
+    solution; the 2-hop rows keep one solution of each objective value.
     """
-    new_id: dict[int, int] = {}
-    variables: list[ModelVariable] = []
-    for var_id, var in enumerate(model.variables):
-        if var.index[-1] <= slots:
-            new_id[var_id] = len(variables)
-            variables.append(var)
-    constraints = []
-    for row in model.constraints:
-        terms = tuple((coeff, new_id[var]) for coeff, var in row.terms if var in new_id)
-        if terms or not _row_holds(row, 0):
-            constraints.append(LinearConstraint(row.name, terms, row.relation, row.constant))
-    objective = tuple((coeff, new_id[var]) for coeff, var in model.objective if var in new_id)
-    blocks = tuple(
-        tuple(new_id[var] for var in block) for block in model.slot_blocks[:slots]
-    )
-    return BinaryModel(variables, constraints, objective, blocks)
-
-
-def _tighten(kind: str, model: BinaryModel, slots: int) -> BinaryModel:
-    """The paper model as the solve path hands it to the solver.
-
-    Only slots ``1..slots`` are kept.  Only the relative order of slots
-    matters, so the solutions are those of the paper model that use at
-    most ``slots`` slots.  Variable names and slot blocks carry over.
-    """
-    model = _restrict_slots(model, slots)
     constraints = list(model.constraints)
-    blocks = model.slot_blocks
     if kind == "multihop":
         # Swap each ``2 y_u_v_i_j <= x_u_i + x_v_j`` for the aggregated
         # ``sum_j y_u_v_i_j <= x_u_i`` and ``sum_i y_u_v_i_j <= x_v_j``.
@@ -493,53 +445,50 @@ def _tighten(kind: str, model: BinaryModel, slots: int) -> BinaryModel:
     else:
         # 2-hop: the used slots form a prefix, ``used(i) <= used(i-1)``;
         # compacting the used slots of any solution meets these rows.
-        for i in range(1, len(blocks)):
-            terms = tuple((1, var) for var in blocks[i])
-            terms += tuple((-1, var) for var in blocks[i - 1])
-            constraints.append(LinearConstraint(f"prefix_{i + 1}", terms, "<=", 0))
-    return BinaryModel(model.variables, constraints, model.objective, blocks)
+        by_slot: dict[int, list[int]] = {}  # slot -> its x variables
+        for k, var in enumerate(model.variables):
+            if var.kind == "x":
+                by_slot.setdefault(var.index[-1], []).append(k)
+        for i in range(2, len(by_slot) + 1):
+            terms = tuple((1, var) for var in by_slot[i])
+            terms += tuple((-1, var) for var in by_slot[i - 1])
+            constraints.append(LinearConstraint(f"prefix_{i}", terms, "<=", 0))
+    return BinaryModel(model.variables, constraints, model.objective)
 
 
-def _solve_tightened(
-    kind: str, model: BinaryModel, slots: int, limits: SearchLimits
-) -> Assignment:
-    """Solve ``_tighten(kind, model, slots)``; values come back on ``model``.
+def _solve_tightened(kind: str, model: BinaryModel, limits: SearchLimits) -> Assignment:
+    """Solve ``_tighten(kind, model)``.
 
-    The solution, extended with zeros for the dropped variables, must
-    satisfy every row of the paper ``model``, so a transform bug raises
-    ``ModelError`` rather than yield a wrong plan.  No objective cap is
-    passed: the slot rows already bound the objective by ``slots``.
+    A solution must also satisfy every row of ``model`` as built, so a
+    transform bug raises ``ModelError`` rather than yield a wrong plan.
     """
-    result = solve_binary_model(_tighten(kind, model, slots), limits)
-    if not result.feasible:
-        return result
-    values = dict.fromkeys((var.name for var in model.variables), 0)
-    values.update(result.values)
-    _verify_assignment(model, values)
-    return Assignment(result.status, values, result.objective)
+    result = solve_binary_model(_tighten(kind, model), limits)
+    if result.feasible:
+        _verify_assignment(model, result.values)
+    return result
 
 
 def optimal_twohop_ilp(g: DemandGraph, limits: SearchLimits = SearchLimits()) -> PlannerResult:
     """2-hop optimum via the slot model, searched below the coordinator plan.
 
     The coordinator plan is the incumbent.  When its count meets the
-    lower bound ``max(|S|, |D|)`` it is optimal and no model is solved.
-    Otherwise the model keeps ``count - 1`` slots, so HiGHS either finds
-    a plan with fewer flights or proves, by infeasibility, that none
-    exists.
+    lower bound, ``max(|S|, |D|)`` summed over the weakly connected
+    components, it is optimal and no model is solved.  Otherwise the
+    model has ``count - 1`` slots, so HiGHS either finds a plan with
+    fewer flights or proves, by infeasibility, that none exists.
     """
     limits.check_size(g.n, len(g.demands), "graph")
     incumbent = plan_coordinator(g)
-    if incumbent.count == incumbent.lower_bound:
+    if incumbent.count == lower_bound(g).component_total:
         return replace(incumbent, algorithm="ilp", proven_optimal=True)
-    model = build_twohop_model(g)
-    result = _solve_tightened("twohop", model, incumbent.count - 1, limits)
+    model = build_twohop_model(g, incumbent.count - 1)
+    result = _solve_tightened("twohop", model, limits)
     if not result.feasible:
         # Infeasible: nothing beats the incumbent.  Unknown: a limit ran out.
         return replace(
             incumbent, algorithm="ilp", proven_optimal=result.status == "infeasible"
         )
-    plan = extract_plan("twohop", g, model, result)
+    plan = extract_plan("twohop", model, result)
     return make_result(
         g, list(plan.flights), "twohop", "ilp", proven_optimal=result.proven_optimal
     )
@@ -568,10 +517,10 @@ def optimal_multihop_ilp(g: DemandGraph, limits: SearchLimits = SearchLimits()) 
         if incumbent.count == max(m - 1, incumbent.lower_bound):
             flights.extend(incumbent.plan.flights)
             continue
-        model = build_multihop_model(sub)
-        result = _solve_tightened("multihop", model, incumbent.count, limits)
+        model = build_multihop_model(sub, incumbent.count)
+        result = _solve_tightened("multihop", model, limits)
         if result.feasible:
-            flights.extend(extract_plan("multihop", sub, model, result).flights)
+            flights.extend(extract_plan("multihop", model, result).flights)
             proven = proven and result.proven_optimal
         else:
             flights.extend(incumbent.plan.flights)

@@ -12,6 +12,9 @@
   component's nodes, using ``2m - 2`` pigeons per component of size
   ``m``.  It is valid under multihop routing for any demand set and caps
   the search depth of the exact solvers.
+
+``SearchLimits`` holds the size and effort caps shared by the exact and
+ILP solvers, which both import this module.
 """
 
 from __future__ import annotations
@@ -22,6 +25,43 @@ from fractions import Fraction
 from .demand import DemandGraph, degree_profile, weakly_connected_components
 from .flightplan import Flight, FlightPlan
 from .jsonutil import canonical_dumps
+
+
+class SearchLimitError(ValueError):
+    """Instance exceeds the structural limits of the exact and ILP solvers."""
+
+
+@dataclass(frozen=True)
+class SearchLimits:
+    """Structural and effort caps for the exact and ILP solvers.
+
+    ``max_nodes`` bounds the whole graph for 2-hop and each component for
+    multihop.  Budgets are soft: exceeding them degrades to a feasible
+    but unproven answer instead of failing.
+    """
+
+    max_nodes: int = 10
+    max_demands: int = 40
+    expansion_budget: int = 5_000_000
+    time_budget: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.max_nodes <= 0 or self.max_demands <= 0 or self.expansion_budget <= 0:
+            raise ValueError("search limits must be positive")
+        if self.time_budget is not None and self.time_budget <= 0:
+            raise ValueError("search limits must be positive")
+
+    def check_size(self, nodes: int, demands: int, scope: str) -> None:
+        """Raise ``SearchLimitError`` when ``scope`` (a graph or one
+        component) has more nodes or demands than the limits allow."""
+        if nodes > self.max_nodes:
+            raise SearchLimitError(
+                f"{scope} with {nodes} nodes exceeds max_nodes={self.max_nodes}"
+            )
+        if demands > self.max_demands:
+            raise SearchLimitError(
+                f"{scope} with {demands} demands exceeds max_demands={self.max_demands}"
+            )
 
 
 @dataclass(frozen=True)

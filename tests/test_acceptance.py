@@ -128,11 +128,11 @@ def _all_connected_graphs_n3():
 
 def _check_ilp_against_exact(g: DemandGraph) -> None:
     hub = plan_coordinator(g)
-    model = build_twohop_model(g)
-    assignment = solve_binary_model(model, upper_bound=hub.count)
+    model = build_twohop_model(g, hub.count)
+    assignment = solve_binary_model(model)
     assert assignment.proven_optimal
     assert assignment.objective == optimal_twohop(g).count
-    plan = extract_plan("twohop", g, model, assignment)
+    plan = extract_plan("twohop", model, assignment)
     assert plan.count == assignment.objective
     assert verify_twohop(g, plan).satisfied
 

@@ -69,6 +69,19 @@ def test_solve_then_verify_pipe(demo_file, tmp_path, capsys):
         assert code == 0
 
 
+def test_coordinator_plan_is_relabelled_multihop(demo_file, tmp_path, capsys):
+    code, out = run(capsys, "solve", demo_file, "--mode", "multihop",
+                    "--algorithm", "coordinator")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["mode"] == "multihop"
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps(doc["plan"]))
+    code, out = run(capsys, "verify", demo_file, str(plan_path), "--mode", "multihop")
+    assert code == 0
+    assert json.loads(out)["satisfied"] is True
+
+
 def test_verify_reversed_plan_exits_one(demo_file, tmp_path, capsys):
     plan = {"flights": [
         {"remote": 0, "home": 3}, {"remote": 0, "home": 4},

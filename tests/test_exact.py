@@ -18,6 +18,7 @@ from pigeonpost import (
     verify_multihop,
     verify_twohop,
 )
+from pigeonpost import exact
 from pigeonpost.instances import cycle_graph, demo_graph, random_graph
 
 from conftest import random_demand_graph
@@ -151,6 +152,24 @@ def test_twohop_demo_matches_published_plan(demo):
     assert result.count == 5
     assert result.proven_optimal
     assert verify_twohop(demo, result.plan).satisfied
+
+
+def test_twohop_search_starts_at_the_component_bound(monkeypatch):
+    # Two components: the component-wise bound 2 + 2 = 4 equals the
+    # coordinator count, so no depth below it is searched.
+    g = DemandGraph.from_pairs(6, [(0, 1), (0, 2), (3, 5), (4, 5)])
+    depths = []
+    find_plan = exact._TwoHopSearch.find_plan
+
+    def recording(self, k):
+        depths.append(k)
+        return find_plan(self, k)
+
+    monkeypatch.setattr(exact._TwoHopSearch, "find_plan", recording)
+    result = optimal_twohop(g)
+    assert depths == []
+    assert result.proven_optimal
+    assert result.count == lower_bound(g).component_total == 4
 
 
 def test_twohop_budget_falls_back_to_coordinator(demo):

@@ -84,10 +84,10 @@ def test_multihop_four_cycle_objective_five():
 
 
 def test_twohop_demo_objective_five(demo):
-    model = build_twohop_model(demo)
-    result = solve_binary_model(model, upper_bound=plan_coordinator(demo).count)
+    model = build_twohop_model(demo, plan_coordinator(demo).count)
+    result = solve_binary_model(model)
     assert result.objective == 5
-    plan = extract_plan("twohop", demo, model, result)
+    plan = extract_plan("twohop", model, result)
     assert plan.count == 5
     assert verify_twohop(demo, plan).satisfied
 
@@ -98,13 +98,14 @@ def test_vertex_cover_paw_graph_objective_six():
     for u, v in [(0, 1), (1, 2), (0, 2), (0, 3)]:
         demands += [(u, v), (v, u)]
     g = DemandGraph.from_pairs(4, demands)
-    result = solve_binary_model(build_multihop_model(g), upper_bound=7)
+    result = solve_binary_model(build_multihop_model(g, 7))
     assert result.objective == 6  # 5 pigeons, matching budget n + 2 - 1
 
 
 def test_extract_multihop_walk():
-    result = solve_binary_model(build_multihop_model(cycle_graph(4)), upper_bound=5)
-    plan = extract_plan("multihop", cycle_graph(4), build_multihop_model(cycle_graph(4)), result)
+    model = build_multihop_model(cycle_graph(4), 5)
+    result = solve_binary_model(model)
+    plan = extract_plan("multihop", model, result)
     assert plan.count == 4
     assert verify_multihop(cycle_graph(4), plan).satisfied
 
@@ -112,17 +113,17 @@ def test_extract_multihop_walk():
 def test_extract_empty_model():
     g = DemandGraph.from_pairs(3, [])
     model = build_multihop_model(g)
-    plan = extract_plan("multihop", g, model, solve_binary_model(model))
+    plan = extract_plan("multihop", model, solve_binary_model(model))
     assert plan.count == 0
 
 
 def test_infeasible_under_cap():
-    model = build_multihop_model(DemandGraph.from_pairs(2, [(0, 1)]))
-    assert solve_binary_model(model, upper_bound=1).status == "infeasible"
+    model = build_multihop_model(DemandGraph.from_pairs(2, [(0, 1)]), 1)
+    assert solve_binary_model(model).status == "infeasible"
 
 
 def test_empty_model_failing_a_row_is_infeasible():
-    # What ``_restrict_slots`` leaves when it drops every variable of a cover row.
+    # A cover row left with no terms, as a model with too few slots can hold.
     model = BinaryModel([], [LinearConstraint("c", (), ">=", 1)], ())
     result = solve_binary_model(model)
     assert result.status == "infeasible"
@@ -165,10 +166,10 @@ def test_ilp_multihop_handles_components():
 def test_cross_solver_agreement_n4(seed):
     rng = random.Random(seed)
     g = random_connected_demand_graph(rng, 4)
-    model = build_twohop_model(g)
-    assignment = solve_binary_model(model, upper_bound=plan_coordinator(g).count)
+    model = build_twohop_model(g, plan_coordinator(g).count)
+    assignment = solve_binary_model(model)
     assert assignment.objective == optimal_twohop(g).count
-    plan = extract_plan("twohop", g, model, assignment)
+    plan = extract_plan("twohop", model, assignment)
     assert verify_twohop(g, plan).satisfied
     assert optimal_multihop_ilp(g).count == optimal_multihop(g).count
 
@@ -274,7 +275,7 @@ def test_infeasible_model_proves_the_incumbent(solved):
     hub = plan_coordinator(g)
     result = optimal_twohop_ilp(g)
     ((model, assignment),) = solved
-    assert len(model.slot_blocks) == hub.count - 1 == 4
+    assert max(v.index[-1] for v in model.variables) == hub.count - 1 == 4
     assert assignment.status == "infeasible"
     assert result.proven_optimal
     assert result.plan == hub.plan and result.algorithm == "ilp"
@@ -288,6 +289,17 @@ def test_solve_finds_a_plan_below_the_incumbent(solved, planner):
     assert assignment.proven_optimal
     assert result.proven_optimal
     assert result.count == 4 < plan_coordinator(g).count == 6
+
+
+def test_twohop_count_at_the_component_bound_calls_no_solver(solved):
+    # Two components: the coordinator count 4 meets the component-wise
+    # bound 2 + 2, not the overall max(|S|, |D|) = 3.
+    g = DemandGraph.from_pairs(6, [(0, 1), (0, 2), (3, 5), (4, 5)])
+    result = optimal_twohop_ilp(g)
+    assert solved == []
+    assert result.proven_optimal
+    assert result.count == plan_coordinator(g).count == 4
+    assert result.lower_bound == 3  # the JSON field stays the overall bound
 
 
 def test_ilp_planners_match_exact_on_random_graphs():

@@ -1,8 +1,9 @@
 """Command-line front end with stable JSON output.
 
 Exit codes: 0 success, 1 verification found unsatisfied demands, 2 bad
-usage or an instance outside the solver limits, 3 unparseable input,
-4 budget exhausted under ``--strict``.
+usage, an instance outside the solver limits or a graph over
+``MAX_PARSED_NODES`` nodes, 3 unparseable input, 4 budget exhausted under
+``--strict``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import sys
 # imported inside the commands that use them, so the other commands do not
 # pay for compiling and loading them.  Their errors are turned into exit
 # codes where they are imported.
-from .demand import DemandGraphError, lower_bound, parse_demand_graph
+from .demand import DemandGraphError, DemandGraphSizeError, lower_bound, parse_demand_graph
 from .flightplan import FlightPlanError, parse_flight_plan, verify
 from .jsonutil import canonical_dumps
 from .planners import (
@@ -263,6 +264,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except DemandGraphSizeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except _PARSE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

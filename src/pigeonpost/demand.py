@@ -7,7 +7,9 @@ nodes with incoming demand are *destinations*; a node may be both.
 
 The JSON interchange format is ``{"n": <int>, "demands": [[src, dst], ...]}``.
 Canonical serialization sorts the demand list lexicographically so that
-identical graphs always produce byte-identical documents.
+identical graphs always produce byte-identical documents.  A parsed
+document may have at most ``MAX_PARSED_NODES`` nodes: the bounds and
+planners allocate per node, and the multihop verifier per node pair.
 """
 
 from __future__ import annotations
@@ -18,8 +20,17 @@ from dataclasses import dataclass, field
 from .jsonutil import canonical_dumps
 
 
+# 8x the largest benchmark graph (7,971 nodes).  At this size one demand
+# takes ``verify --mode multihop`` about 0.3 GB; its masks grow as n^2.
+MAX_PARSED_NODES = 65_536
+
+
 class DemandGraphError(ValueError):
     """Raised for structurally invalid demand-graph input."""
+
+
+class DemandGraphSizeError(DemandGraphError):
+    """Raised when a parsed graph has more than ``MAX_PARSED_NODES`` nodes."""
 
 
 @dataclass(frozen=True)
@@ -91,6 +102,8 @@ def parse_demand_graph(text: str) -> DemandGraph:
     n = doc["n"]
     if not isinstance(n, int) or isinstance(n, bool):
         raise DemandGraphError('"n" must be an integer')
+    if n > MAX_PARSED_NODES:
+        raise DemandGraphSizeError(f'"n" = {n} exceeds the limit of {MAX_PARSED_NODES} nodes')
     demands = doc["demands"]
     if not isinstance(demands, list):
         raise DemandGraphError('"demands" must be a list of [src, dst] pairs')
@@ -126,19 +139,12 @@ def degree_profile(g: DemandGraph) -> DegreeProfile:
 class ComponentPartition:
     """Weakly connected components of the demand graph.
 
-    Only nodes incident to at least one demand belong to a component;
-    the rest are listed in ``isolated``.  Components are ordered by their
-    smallest member, which makes every downstream iteration deterministic.
+    Only nodes incident to at least one demand belong to a component.
+    Components are ordered by their smallest member, which makes every
+    downstream iteration deterministic.
     """
 
     components: tuple[frozenset[int], ...]
-    isolated: frozenset[int]
-
-    def component_of(self, node: int) -> frozenset[int] | None:
-        for comp in self.components:
-            if node in comp:
-                return comp
-        return None
 
 
 def weakly_connected_components(g: DemandGraph) -> ComponentPartition:
@@ -165,8 +171,7 @@ def weakly_connected_components(g: DemandGraph) -> ComponentPartition:
         components.append(frozenset(comp))
 
     components.sort(key=min)
-    isolated = frozenset(range(g.n)) - seen
-    return ComponentPartition(components=tuple(components), isolated=isolated)
+    return ComponentPartition(components=tuple(components))
 
 
 @dataclass(frozen=True)

@@ -18,27 +18,29 @@ over ordered flight sequences, pruning flights that make no progress and
 memoizing on the logical state (satisfied demands plus, per open demand,
 the set of relay nodes already holding its data).
 
-Both searches respect an expansion budget; when it runs out they fall
-back to a feasible plan and flag the result as not proven optimal.
+Both solvers follow the policy of ``planners._search_below_coordinator``
+(2-hop over the whole graph, multihop per component): the coordinator
+plan is the incumbent, a count that meets the lower bound is returned as
+proven without a search, and otherwise the search looks only for plans
+with fewer flights.  Failing to find one proves the incumbent optimal;
+running out of the expansion budget keeps it, flagged as not proven.
 """
 
 from __future__ import annotations
 
 import time
 from collections.abc import Iterable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from heapq import heappop, heappush
 
-from .demand import DemandGraph, lower_bound, weakly_connected_components
+from .demand import DemandGraph, lower_bound
 from .flightplan import Flight, verify
 from .jsonutil import canonical_dumps
 from .planners import (  # SearchLimitError is re-exported for callers of this module
     PlannerResult,
     SearchLimitError,
     SearchLimits,
-    cycle_walk,
-    make_result,
-    plan_coordinator,
+    _search_below_coordinator,
 )
 
 
@@ -68,8 +70,10 @@ def _min_covering_walk(
     nodes: list[int],
     demands: Iterable[tuple[int, int]],
     effort: _Effort,
-) -> list[int]:
-    """Shortest walk over ``nodes`` serving every demand; raises on budget.
+    max_flights: int,
+) -> list[int] | None:
+    """Shortest walk over ``nodes`` serving every demand in at most
+    ``max_flights`` flights, or None when there is none; raises on budget.
 
     Uniform-cost search (cost 1 per appended node) guided by a consistent
     lower bound: every not-yet-appeared node and every node that is the
@@ -92,7 +96,6 @@ def _min_covering_walk(
     sat_shift = m + cb  # where ``satisfied`` starts inside a key
     current_mask = (1 << cb) - 1
     all_nodes_mask = (1 << m) - 1
-    max_flights = 2 * m - 2  # the cycle walk's length
 
     # wanted[x]: the demands (u, x) into x, already at their key position.
     wanted = [0] * m
@@ -156,9 +159,7 @@ def _min_covering_walk(
             tie += 1
 
     if goal is None:
-        # The cycle walk is always feasible within 2m - 2 flights, so an
-        # exhausted heap means the search itself is wrong.
-        raise RuntimeError("solver bug: no covering walk within 2m - 2 flights")
+        return None
 
     walk_local: list[int] = []
     key: int | None = goal
@@ -171,24 +172,23 @@ def _min_covering_walk(
 def optimal_multihop(g: DemandGraph, limits: SearchLimits = SearchLimits()) -> PlannerResult:
     """Provably minimal multihop plan, solved per component.
 
-    Components whose search exhausts the budget fall back to the cycle
-    plan and the result is flagged as not proven optimal.
+    The search of each component looks only for walks shorter than its
+    coordinator plan.  Components whose search exhausts the budget keep
+    the coordinator plan and the result is flagged as not proven optimal.
     """
-    partition = weakly_connected_components(g)
     effort = _Effort(limits)
-    flights: list[Flight] = []
-    proven = True
-    for comp in partition.components:
-        nodes = sorted(comp)
-        comp_demands = g.restricted_to(comp).demands
-        limits.check_size(len(nodes), len(comp_demands), "component")
+
+    def search(part: DemandGraph, bound: int, cap: int):
+        nodes = sorted({v for demand in part.demands for v in demand})
         try:
-            walk = _min_covering_walk(nodes, comp_demands, effort)
+            walk = _min_covering_walk(nodes, part.demands, effort, cap)
         except _BudgetExhausted:
-            walk = cycle_walk(nodes)
-            proven = False
-        flights.extend(Flight(a, b) for a, b in zip(walk, walk[1:]))
-    return make_result(g, flights, "multihop", "exact", proven_optimal=proven)
+            return None, False
+        if walk is None:
+            return None, True
+        return [Flight(a, b) for a, b in zip(walk, walk[1:])], True
+
+    return _search_below_coordinator(g, "multihop", "exact", limits, search)
 
 
 class _TwoHopSearch:
@@ -270,25 +270,25 @@ class _TwoHopSearch:
 def optimal_twohop(g: DemandGraph, limits: SearchLimits = SearchLimits()) -> PlannerResult:
     """Provably minimal 2-hop plan via iterative deepening.
 
-    Flight counts run from the component-wise lower bound up to the
-    coordinator plan's count, which is itself a feasible 2-hop solution;
-    the first feasible count is optimal.  On budget exhaustion the
+    Flight counts run from the component-wise lower bound up to one below
+    the coordinator plan's count; the first feasible count is optimal,
+    and when none is, the coordinator plan is.  On budget exhaustion the
     coordinator plan is returned unproven.
     """
-    limits.check_size(g.n, len(g.demands), "graph")
-    fallback = plan_coordinator(g)
     effort = _Effort(limits)
-    search = _TwoHopSearch(g, effort)
-    try:
-        for k in range(lower_bound(g).component_total, fallback.count):
-            found = search.find_plan(k)
-            if found is not None:
-                flights = [Flight(a, b) for a, b in found]
-                return make_result(g, flights, "twohop", "exact", proven_optimal=True)
-    except _BudgetExhausted:
-        return replace(fallback, algorithm="exact", proven_optimal=False)
-    # Nothing below the coordinator count is feasible, so it is optimal.
-    return replace(fallback, algorithm="exact", proven_optimal=True)
+
+    def search(part: DemandGraph, bound: int, cap: int):
+        deepening = _TwoHopSearch(part, effort)
+        try:
+            for k in range(bound, cap + 1):
+                found = deepening.find_plan(k)
+                if found is not None:
+                    return [Flight(a, b) for a, b in found], True
+        except _BudgetExhausted:
+            return None, False
+        return None, True
+
+    return _search_below_coordinator(g, "twohop", "exact", limits, search)
 
 
 @dataclass(frozen=True)
@@ -325,11 +325,7 @@ def certify(g: DemandGraph, result: PlannerResult) -> OptimalityCertificate:
         raise ValueError("certificates are only issued for proven-optimal results")
     bound = lower_bound(g).component_total
     report = verify(result.mode, g, result.plan)
-    valid = (
-        report.satisfied
-        and result.count == result.plan.count
-        and result.count >= bound
-    )
+    valid = report.satisfied and result.count >= bound
     return OptimalityCertificate(
         mode=result.mode,
         count=result.count,

@@ -26,9 +26,10 @@ The constructors take the slot count as an optional argument; the
 default is the paper's, which ``export_lp`` writes.  Only the relative
 order of slots matters, so with ``k`` slots the solutions are the plans
 of the paper model that use at most ``k`` slots.  The planners
-``optimal_*_ilp`` start, as ``optimal_twohop`` does, from a heuristic
-plan, the incumbent: the coordinator plan of the graph (2-hop) or of
-each weakly connected component (multihop).  When its count meets the
+``optimal_*_ilp`` follow the solve policy of
+``planners._search_below_coordinator``, as the exact solvers do: the
+coordinator plan of the graph (2-hop) or of each weakly connected
+component (multihop) is the incumbent, and when its count meets the
 lower bound it is returned as proven optimal; no model is built and
 scipy is not imported.  Otherwise they build the model at the
 incumbent's slot count, ``count - 1`` flight slots (2-hop) or ``count``
@@ -42,11 +43,12 @@ before a plan is extracted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import partial
 
-from .demand import DemandGraph, lower_bound, weakly_connected_components
+from .demand import DemandGraph, weakly_connected_components
 from .flightplan import Flight, FlightPlan
-from .planners import PlannerResult, SearchLimits, make_result, plan_coordinator
+from .planners import PlannerResult, SearchLimits, _search_below_coordinator
 
 
 class ModelError(ValueError):
@@ -456,16 +458,26 @@ def _tighten(kind: str, model: BinaryModel) -> BinaryModel:
     return BinaryModel(model.variables, constraints, model.objective)
 
 
-def _solve_tightened(kind: str, model: BinaryModel, limits: SearchLimits) -> Assignment:
-    """Solve ``_tighten(kind, model)``.
+def _solve_below(kind: str, limits: SearchLimits, part: DemandGraph, bound: int, cap: int):
+    """Search of ``_search_below_coordinator``: a plan of ``part`` with at
+    most ``cap`` flights, from ``_tighten(kind, model)`` with the model
+    built at ``cap`` flight slots (2-hop) or ``cap + 1`` walk positions.
+    HiGHS finds its own bounds, so ``bound`` is not used.
 
-    A solution must also satisfy every row of ``model`` as built, so a
+    A solution must also satisfy every row of the model as built, so a
     transform bug raises ``ModelError`` rather than yield a wrong plan.
+    Infeasible proves that no such plan exists; unknown means a limit
+    ran out.
     """
+    if kind == "twohop":
+        model = build_twohop_model(part, cap)
+    else:
+        model = build_multihop_model(part, cap + 1)
     result = solve_binary_model(_tighten(kind, model), limits)
-    if result.feasible:
-        _verify_assignment(model, result.values)
-    return result
+    if not result.feasible:
+        return None, result.status == "infeasible"
+    _verify_assignment(model, result.values)
+    return list(extract_plan(kind, model, result).flights), result.proven_optimal
 
 
 def optimal_twohop_ilp(g: DemandGraph, limits: SearchLimits = SearchLimits()) -> PlannerResult:
@@ -477,21 +489,8 @@ def optimal_twohop_ilp(g: DemandGraph, limits: SearchLimits = SearchLimits()) ->
     model has ``count - 1`` slots, so HiGHS either finds a plan with
     fewer flights or proves, by infeasibility, that none exists.
     """
-    limits.check_size(g.n, len(g.demands), "graph")
-    incumbent = plan_coordinator(g)
-    if incumbent.count == lower_bound(g).component_total:
-        return replace(incumbent, algorithm="ilp", proven_optimal=True)
-    model = build_twohop_model(g, incumbent.count - 1)
-    result = _solve_tightened("twohop", model, limits)
-    if not result.feasible:
-        # Infeasible: nothing beats the incumbent.  Unknown: a limit ran out.
-        return replace(
-            incumbent, algorithm="ilp", proven_optimal=result.status == "infeasible"
-        )
-    plan = extract_plan("twohop", model, result)
-    return make_result(
-        g, list(plan.flights), "twohop", "ilp", proven_optimal=result.proven_optimal
-    )
+    search = partial(_solve_below, "twohop", limits)
+    return _search_below_coordinator(g, "twohop", "ilp", limits, search)
 
 
 def optimal_multihop_ilp(g: DemandGraph, limits: SearchLimits = SearchLimits()) -> PlannerResult:
@@ -506,23 +505,5 @@ def optimal_multihop_ilp(g: DemandGraph, limits: SearchLimits = SearchLimits()) 
     as the incumbent has flights, so a solution is a walk with fewer
     flights, and infeasibility proves the incumbent optimal.
     """
-    partition = weakly_connected_components(g)
-    flights: list[Flight] = []
-    proven = True
-    for comp in partition.components:
-        sub = g.restricted_to(comp)
-        m = len(comp)
-        limits.check_size(m, len(sub.demands), "component")
-        incumbent = plan_coordinator(sub)
-        if incumbent.count == max(m - 1, incumbent.lower_bound):
-            flights.extend(incumbent.plan.flights)
-            continue
-        model = build_multihop_model(sub, incumbent.count)
-        result = _solve_tightened("multihop", model, limits)
-        if result.feasible:
-            flights.extend(extract_plan("multihop", model, result).flights)
-            proven = proven and result.proven_optimal
-        else:
-            flights.extend(incumbent.plan.flights)
-            proven = proven and result.status == "infeasible"
-    return make_result(g, flights, "multihop", "ilp", proven_optimal=proven)
+    search = partial(_solve_below, "multihop", limits)
+    return _search_below_coordinator(g, "multihop", "ilp", limits, search)

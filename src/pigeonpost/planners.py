@@ -10,19 +10,24 @@
 * ``plan_cycle`` ignores the demand pattern entirely and pushes all
   information one and three quarter times around an ordered cycle of the
   component's nodes, using ``2m - 2`` pigeons per component of size
-  ``m``.  It is valid under multihop routing for any demand set and caps
-  the search depth of the exact solvers.
+  ``m``.  It is valid under multihop routing for any demand set.
 
 ``SearchLimits`` holds the size and effort caps shared by the exact and
-ILP solvers, which both import this module.
+ILP solvers, which both import this module.  Both also share one solve
+policy, ``_search_below_coordinator``: the coordinator plan is the
+incumbent, a count that meets the lower bound is returned as proven
+optimal with nothing searched, and otherwise the solver searches only
+for plans with fewer flights, keeping the incumbent when it finds none
+or runs out of budget.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .demand import DemandGraph, degree_profile, weakly_connected_components
+from .demand import DemandGraph, degree_profile, lower_bound, weakly_connected_components
 from .flightplan import Flight, FlightPlan
 from .jsonutil import canonical_dumps
 
@@ -68,8 +73,7 @@ class SearchLimits:
 class PlannerResult:
     """A plan plus the bookkeeping needed to judge it.
 
-    ``mode`` is the routing regime the plan is valid for; ``ratio`` is
-    ``count / max(lower_bound, 1)`` kept exact as a fraction.
+    ``mode`` is the routing regime the plan is valid for.
     ``coordinators`` lists the per-component hub choices when the
     coordinator algorithm produced the plan.
     """
@@ -77,11 +81,18 @@ class PlannerResult:
     plan: FlightPlan
     mode: str
     algorithm: str
-    count: int
     lower_bound: int
-    ratio: Fraction
     proven_optimal: bool = False
     coordinators: tuple[int, ...] = ()
+
+    @property
+    def count(self) -> int:
+        return self.plan.count
+
+    @property
+    def ratio(self) -> Fraction:
+        """``count / max(lower_bound, 1)``, kept exact."""
+        return Fraction(self.count, max(self.lower_bound, 1))
 
     def to_json(self) -> str:
         return canonical_dumps(self.to_json_dict())
@@ -109,16 +120,13 @@ def make_result(
     proven_optimal: bool = False,
     coordinators: tuple[int, ...] = (),
 ) -> PlannerResult:
-    count = len(flights)
     # ``lower_bound(g).overall``, without its degree profile and component split.
     bound = max(len({src for src, _ in g.demands}), len({dst for _, dst in g.demands}))
     return PlannerResult(
         plan=FlightPlan(tuple(flights)),
         mode=mode,
         algorithm=algorithm,
-        count=count,
         lower_bound=bound,
-        ratio=Fraction(count, max(bound, 1)),
         proven_optimal=proven_optimal,
         coordinators=coordinators,
     )
@@ -168,14 +176,6 @@ def plan_coordinator(g: DemandGraph) -> PlannerResult:
     )
 
 
-def cycle_walk(nodes: list[int]) -> list[int]:
-    """Node walk visiting ``v1..vm, v1, v2..v(m-1)``; ``2m - 2`` flights."""
-    m = len(nodes)
-    if m < 2:
-        return list(nodes)
-    return nodes + [nodes[0]] + nodes[1 : m - 1]
-
-
 def plan_cycle(g: DemandGraph) -> PlannerResult:
     """Demand-oblivious cycle plan, ``2m - 2`` pigeons per component.
 
@@ -186,9 +186,54 @@ def plan_cycle(g: DemandGraph) -> PlannerResult:
     partition = weakly_connected_components(g)
     flights: list[Flight] = []
     for comp in partition.components:
-        walk = cycle_walk(sorted(comp))
+        nodes = sorted(comp)
+        walk = nodes + nodes[:-1]  # v1..vm, v1..v(m-1)
         flights.extend(Flight(a, b) for a, b in zip(walk, walk[1:]))
     return make_result(g, flights, "multihop", "cycle")
+
+
+def _search_below_coordinator(
+    g: DemandGraph,
+    mode: str,
+    algorithm: str,
+    limits: SearchLimits,
+    search: Callable[[DemandGraph, int, int], tuple[list[Flight] | None, bool]],
+) -> PlannerResult:
+    """The solve policy of the exact and ILP planners.
+
+    A 2-hop plan is solved as one part, the whole graph, with the bound
+    ``max(|S|, |D|)`` summed over the weakly connected components.  A
+    multihop plan is solved per component of ``m`` nodes, whose flights
+    must connect all of them, so its bound is ``max(m - 1, |S|, |D|)``.
+    Each part's incumbent is its coordinator plan.  When that meets the
+    bound it is optimal and nothing is searched.  Otherwise
+    ``search(part, bound, cap)`` looks for a plan with at most
+    ``cap = count - 1`` flights and returns its flights, or None to keep
+    the incumbent, and whether that answer is proven: None and proven
+    means no such plan exists.  The result is proven when every part is.
+    """
+    if mode == "twohop":
+        parts = [(g, g.n, "graph")]
+    else:
+        parts = [
+            (g.restricted_to(comp), len(comp), "component")
+            for comp in weakly_connected_components(g).components
+        ]
+    flights: list[Flight] = []
+    proven = True
+    for part, nodes, scope in parts:
+        limits.check_size(nodes, len(part.demands), scope)
+        incumbent = plan_coordinator(part)
+        if mode == "twohop":
+            bound = lower_bound(part).component_total
+        else:
+            bound = max(nodes - 1, incumbent.lower_bound)
+        found = None
+        if incumbent.count > bound:
+            found, part_proven = search(part, bound, incumbent.count - 1)
+            proven = proven and part_proven
+        flights.extend(incumbent.plan.flights if found is None else found)
+    return make_result(g, flights, mode, algorithm, proven_optimal=proven)
 
 
 @dataclass(frozen=True)

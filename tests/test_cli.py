@@ -243,6 +243,21 @@ def test_limit_flag_out_of_range_exits_two(demo_file, capsys, algorithm, flag, v
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("n, expected", [(65_536, 0), (65_537, 2), (10**12, 2)])
+def test_parsed_node_cap(tmp_path, capsys, n, expected):
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"n": n, "demands": [[0, 1]]}))
+    code = main(["bounds", str(path)])
+    captured = capsys.readouterr()
+    assert code == expected
+    if expected:
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    else:
+        assert json.loads(captured.out)["overall"] == 1
+
+
 def test_ilp_without_scipy_exits_two(demo_file, capsys, monkeypatch):
     monkeypatch.setitem(sys.modules, "scipy", None)  # ``import scipy`` now fails
     code = main(["solve", demo_file, "--mode", "twohop", "--algorithm", "ilp"])

@@ -84,7 +84,6 @@ def test_degree_profile_cycle():
 def test_components_demo_is_single(demo):
     partition = weakly_connected_components(demo)
     assert partition.components == (frozenset(range(6)),)
-    assert partition.isolated == frozenset()
 
 
 def test_components_split():
@@ -96,8 +95,7 @@ def test_components_split():
 def test_components_isolated_nodes():
     g = DemandGraph.from_pairs(5, [(0, 1)])
     partition = weakly_connected_components(g)
-    assert partition.components == (frozenset({0, 1}),)
-    assert partition.isolated == {2, 3, 4}
+    assert partition.components == (frozenset({0, 1}),)  # 2, 3, 4 are in none
 
 
 def test_lower_bound_demo(demo):
@@ -132,8 +130,7 @@ def test_partition_covers_all_nodes_exactly_once(g):
     for comp in partition.components:
         assert not comp & seen
         seen |= comp
-    assert not seen & partition.isolated
-    assert seen | partition.isolated == set(range(g.n))
+    assert seen == {node for demand in g.demands for node in demand}
     for src, dst in g.demands:
         owners = [c for c in partition.components if src in c or dst in c]
         assert len(owners) == 1 and src in owners[0] and dst in owners[0]

@@ -19,7 +19,7 @@ from pigeonpost import (
     verify_twohop,
 )
 from pigeonpost import exact
-from pigeonpost.instances import cycle_graph, demo_graph, random_graph
+from pigeonpost.instances import cycle_graph, demo_graph, random_graph, star_graph
 
 from conftest import random_demand_graph
 
@@ -49,11 +49,11 @@ def test_multihop_rejects_oversized_component():
         optimal_multihop(g, SearchLimits(max_nodes=4))
 
 
-def test_multihop_budget_falls_back_to_cycle_plan():
+def test_multihop_budget_falls_back_to_coordinator_plan():
     g = cycle_graph(6)
     result = optimal_multihop(g, SearchLimits(expansion_budget=2))
     assert not result.proven_optimal
-    assert result.count == 2 * 6 - 2
+    assert result.plan == plan_coordinator(g).plan
     assert verify_multihop(g, result.plan).satisfied
 
 
@@ -84,15 +84,22 @@ def multihop_optima_by_bfs(n: int) -> dict[int, int]:
                     following.append(child)
         frontier = following
 
-    unreachable = 2 * n * n
-    best = [unreachable] * (1 << len(pairs))
+    served_depths = []
     for state, d in depth.items():
         served = 0
         for i, (u, x) in enumerate(pairs):
             if (state[x] >> u) & 1:
                 served |= 1 << i
+        served_depths.append((served, d))
+    return superset_minimum(len(pairs), served_depths)
+
+
+def superset_minimum(npairs: int, served_depths) -> dict[int, int]:
+    """Per nonempty pair mask, the least depth of a state serving a superset."""
+    best = [2 * npairs] * (1 << npairs)  # above any optimum: one flight per pair
+    for served, d in served_depths:
         best[served] = min(best[served], d)
-    for i in range(len(pairs)):  # superset minimum
+    for i in range(npairs):
         bit = 1 << i
         for mask in range(len(best)):
             if not mask & bit:
@@ -112,26 +119,112 @@ def test_multihop_matches_bfs_oracle_on_every_four_node_graph():
         assert verify_multihop(g, result.plan).satisfied
 
 
+def twohop_optima_by_bfs(n: int) -> dict[int, int]:
+    """Oracle: fewest 2-hop flights serving each set of ordered pairs on ``n`` nodes.
+
+    Breadth-first search over states (arcs flown, pairs served), both masks
+    over ``permutations(range(n), 2)``.  Flight ``a -> b`` serves
+    ``(a, b)`` and every ``(u, b)`` whose pickup ``(u, a)`` flew earlier.
+    Any flight order is explored and no relay form is assumed.
+    """
+    pairs = list(permutations(range(n), 2))
+    bit = {pair: 1 << i for i, pair in enumerate(pairs)}
+    # Per flight (a, b): its own bit, and (pickup (u, a), relayed (u, b)).
+    flights = [
+        (bit[(a, b)], [(bit[(u, a)], bit[(u, b)]) for u in range(n) if u not in (a, b)])
+        for a, b in pairs
+    ]
+    depth = {(0, 0): 0}
+    frontier = [(0, 0)]
+    while frontier:
+        following = []
+        for state in frontier:
+            flown, served = state
+            for arc, relays in flights:
+                gained = arc
+                for pickup, relayed in relays:
+                    if flown & pickup:
+                        gained |= relayed
+                child = (flown | arc, served | gained)
+                if child not in depth:
+                    depth[child] = depth[state] + 1
+                    following.append(child)
+        frontier = following
+    return superset_minimum(len(pairs), ((served, d) for (_, served), d in depth.items()))
+
+
+def test_twohop_matches_bfs_oracle_on_every_four_node_graph():
+    pairs = list(permutations(range(4), 2))
+    optima = twohop_optima_by_bfs(4)
+    assert len(optima) == 4095
+    for mask, expected in optima.items():
+        g = DemandGraph.from_pairs(4, [p for i, p in enumerate(pairs) if (mask >> i) & 1])
+        result = optimal_twohop(g)
+        assert result.proven_optimal
+        assert result.count == expected, g.sorted_demands()
+        assert verify_twohop(g, result.plan).satisfied
+
+
+def record_walk_searches(monkeypatch) -> list[int]:
+    """Record the ``max_flights`` of every multihop A* call."""
+    caps = []
+    search = exact._min_covering_walk
+
+    def recording(nodes, demands, effort, max_flights):
+        caps.append(max_flights)
+        return search(nodes, demands, effort, max_flights)
+
+    monkeypatch.setattr(exact, "_min_covering_walk", recording)
+    return caps
+
+
+@pytest.mark.parametrize("g", [demo_graph(), star_graph(7)], ids=["demo", "star7"])
+def test_multihop_component_at_the_bound_is_not_searched(monkeypatch, g):
+    caps = record_walk_searches(monkeypatch)
+    result = optimal_multihop(g)
+    assert caps == []
+    assert result.proven_optimal
+    assert result.plan == plan_coordinator(g).plan
+
+
+def test_multihop_incumbent_is_proven_when_no_shorter_walk_exists(monkeypatch):
+    # Coordinator plan 1->0, 2->0, 0->1, 0->3: 4 flights, the optimum,
+    # above the bound max(m - 1, |S|, |D|) = 3.
+    g = DemandGraph.from_pairs(4, [(0, 1), (1, 0), (2, 0), (2, 3)])
+    caps = record_walk_searches(monkeypatch)
+    result = optimal_multihop(g)
+    assert caps == [3]
+    assert result.proven_optimal
+    assert result.plan == plan_coordinator(g).plan
+    assert result.count == 4
+
+
 # Smallest expansion budget that proves each instance.  The counts were
 # measured on the tuple-keyed search that preceded the packed-int state;
 # a change in them means the search expands other states, not just that
-# it got faster or slower.
+# it got faster or slower.  None: the coordinator plan meets the bound,
+# so the instance is decided with nothing searched.
 @pytest.mark.parametrize(
     ("g", "budget"),
     [
-        (demo_graph(), 30),
+        (demo_graph(), None),
         (cycle_graph(6), 36),
         (random_graph(7, 0.6, seed=1), 4163),
     ],
     ids=["demo", "cycle6", "dense7"],
 )
 def test_multihop_expansion_count_is_pinned(g, budget):
+    coordinator = plan_coordinator(g).plan
+    if budget is None:
+        decided = optimal_multihop(g, SearchLimits(expansion_budget=1))
+        assert decided.proven_optimal
+        assert decided.plan == coordinator
+        return
     proven = optimal_multihop(g, SearchLimits(expansion_budget=budget))
     assert proven.proven_optimal
     fallback = optimal_multihop(g, SearchLimits(expansion_budget=budget - 1))
     assert not fallback.proven_optimal
-    assert fallback.count == 2 * g.n - 2
-    assert fallback.plan == plan_cycle(g).plan
+    assert fallback.plan == coordinator
 
 
 def test_twohop_path_demands_direct_is_optimal():
@@ -193,11 +286,7 @@ def test_certify_demo_not_tight(demo):
 
 def test_certify_detects_tampered_plan(demo):
     result = optimal_multihop(demo)
-    tampered = dataclasses.replace(
-        result,
-        plan=FlightPlan(result.plan.flights[:-1]),
-        count=result.count - 1,
-    )
+    tampered = dataclasses.replace(result, plan=FlightPlan(result.plan.flights[:-1]))
     assert not certify(demo, tampered).valid
 
 

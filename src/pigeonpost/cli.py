@@ -9,7 +9,6 @@ usage, an instance outside the solver limits or a graph over
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import importlib.util
 import sys
 
@@ -114,7 +113,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             return EXIT_USAGE
     if result.mode != args.mode:
         # A plan valid under a stricter regime is valid here as well.
-        result = dataclasses.replace(result, mode=args.mode)
+        result = result._replace(mode=args.mode)
     _write(args.output, result.to_json())
     if args.strict and args.algorithm in ("exact", "ilp") and not result.proven_optimal:
         print("error: budget exhausted before optimality was proven", file=sys.stderr)

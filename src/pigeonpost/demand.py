@@ -8,20 +8,21 @@ nodes with incoming demand are *destinations*; a node may be both.
 The JSON interchange format is ``{"n": <int>, "demands": [[src, dst], ...]}``.
 Canonical serialization sorts the demand list lexicographically so that
 identical graphs always produce byte-identical documents.  A parsed
-document may have at most ``MAX_PARSED_NODES`` nodes: the bounds and
-planners allocate per node, and the multihop verifier per node pair.
+document may have at most ``MAX_PARSED_NODES`` nodes: the bounds,
+planners and verifiers allocate per node.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .jsonutil import canonical_dumps
 
 
-# 8x the largest benchmark graph (7,971 nodes).  At this size one demand
-# takes ``verify --mode multihop`` about 0.3 GB; its masks grow as n^2.
+# 8x the largest benchmark graph (7,971 nodes).  The bounds, planners and
+# verifiers allocate per node, so without a cap a document with a huge "n"
+# and a single demand would exhaust memory.
 MAX_PARSED_NODES = 65_536
 
 
@@ -33,28 +34,48 @@ class DemandGraphSizeError(DemandGraphError):
     """Raised when a parsed graph has more than ``MAX_PARSED_NODES`` nodes."""
 
 
-@dataclass(frozen=True)
-class DemandGraph:
+class _DemandGraphFields(NamedTuple):
+    n: int
+    demands: frozenset[tuple[int, int]]
+    duplicates_dropped: int
+
+
+class DemandGraph(_DemandGraphFields):
     """Directed unweighted demand graph on node ids ``[0, n)``.
 
     ``duplicates_dropped`` counts input pairs discarded by deduplication;
-    it is informational and excluded from equality.
+    it is informational and excluded from equality and hashing.
     """
 
-    n: int
-    demands: frozenset[tuple[int, int]]
-    duplicates_dropped: int = field(default=0, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise DemandGraphError(f"node count must be non-negative, got {self.n}")
-        for src, dst in self.demands:
+    def __new__(
+        cls, n: int, demands: frozenset[tuple[int, int]], duplicates_dropped: int = 0
+    ) -> DemandGraph:
+        if n < 0:
+            raise DemandGraphError(f"node count must be non-negative, got {n}")
+        for src, dst in demands:
             if src == dst:
                 raise DemandGraphError(f"self-demand ({src}, {dst}) is not allowed")
-            if not (0 <= src < self.n and 0 <= dst < self.n):
-                raise DemandGraphError(
-                    f"demand ({src}, {dst}) out of range for n={self.n}"
-                )
+            if not (0 <= src < n and 0 <= dst < n):
+                raise DemandGraphError(f"demand ({src}, {dst}) out of range for n={n}")
+        return tuple.__new__(cls, (n, demands, duplicates_dropped))
+
+    @classmethod
+    def _make(cls, iterable) -> DemandGraph:
+        return cls(*iterable)
+
+    def __eq__(self, other):
+        if isinstance(other, DemandGraph):
+            return self.n == other.n and self.demands == other.demands
+        return NotImplemented
+
+    def __ne__(self, other):
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.demands))
 
     @classmethod
     def from_pairs(cls, n: int, pairs) -> DemandGraph:
@@ -110,8 +131,7 @@ def parse_demand_graph(text: str) -> DemandGraph:
     return DemandGraph.from_pairs(n, demands)
 
 
-@dataclass(frozen=True)
-class DegreeProfile:
+class DegreeProfile(NamedTuple):
     """Source/destination sets and per-node total (in+out) degree."""
 
     sources: frozenset[int]
@@ -135,8 +155,7 @@ def degree_profile(g: DemandGraph) -> DegreeProfile:
     )
 
 
-@dataclass(frozen=True)
-class ComponentPartition:
+class ComponentPartition(NamedTuple):
     """Weakly connected components of the demand graph.
 
     Only nodes incident to at least one demand belong to a component.
@@ -174,8 +193,7 @@ def weakly_connected_components(g: DemandGraph) -> ComponentPartition:
     return ComponentPartition(components=tuple(components))
 
 
-@dataclass(frozen=True)
-class PigeonLowerBound:
+class PigeonLowerBound(NamedTuple):
     """Universal lower bound on the number of pigeons.
 
     Every source must release at least one pigeon and every destination

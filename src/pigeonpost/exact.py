@@ -30,8 +30,8 @@ from __future__ import annotations
 
 import time
 from collections.abc import Iterable
-from dataclasses import dataclass
 from heapq import heappop, heappush
+from typing import NamedTuple
 
 from .demand import DemandGraph, lower_bound
 from .flightplan import Flight, verify
@@ -291,8 +291,7 @@ def optimal_twohop(g: DemandGraph, limits: SearchLimits = SearchLimits()) -> Pla
     return _search_below_coordinator(g, "twohop", "exact", limits, search)
 
 
-@dataclass(frozen=True)
-class OptimalityCertificate:
+class OptimalityCertificate(NamedTuple):
     """Machine-checkable record that a result is verified and bound-consistent."""
 
     mode: str

@@ -21,7 +21,7 @@ output can be debugged demand by demand.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .demand import DemandGraph
 from .jsonutil import canonical_dumps
@@ -31,22 +31,33 @@ class FlightPlanError(ValueError):
     """Raised for structurally invalid flights or plan documents."""
 
 
-@dataclass(frozen=True, order=True)
-class Flight:
-    """One pigeon: released at ``remote``, landing at its ``home`` node."""
-
+class _FlightFields(NamedTuple):
     remote: int
     home: int
 
-    def __post_init__(self) -> None:
-        if self.remote == self.home:
-            raise FlightPlanError(f"flight cannot start at its home node {self.home}")
-        if self.remote < 0 or self.home < 0:
+
+class Flight(_FlightFields):
+    """One pigeon: released at ``remote``, landing at its ``home`` node.
+
+    Flights order by ``(remote, home)``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, remote: int, home: int) -> Flight:
+        self = tuple.__new__(cls, (remote, home))
+        if remote == home:
+            raise FlightPlanError(f"flight cannot start at its home node {home}")
+        if remote < 0 or home < 0:
             raise FlightPlanError(f"flight endpoints must be non-negative: {self}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> Flight:
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class FlightPlan:
+class FlightPlan(NamedTuple):
     """Ordered flight sequence; index in ``flights`` is the time slot."""
 
     flights: tuple[Flight, ...]
@@ -91,16 +102,14 @@ def parse_flight_plan(text: str) -> FlightPlan:
     return FlightPlan(tuple(flights))
 
 
-@dataclass(frozen=True)
-class DirectWitness:
+class DirectWitness(NamedTuple):
     slot: int
 
     def to_json_dict(self) -> dict:
         return {"kind": "direct", "slot": self.slot}
 
 
-@dataclass(frozen=True)
-class RelayWitness:
+class RelayWitness(NamedTuple):
     via: int
     pickup_slot: int
     delivery_slot: int
@@ -114,8 +123,7 @@ class RelayWitness:
         }
 
 
-@dataclass(frozen=True)
-class PathWitness:
+class PathWitness(NamedTuple):
     """Chained flights at strictly ascending slots, head-to-tail."""
 
     slots: tuple[int, ...]
@@ -128,8 +136,7 @@ class PathWitness:
 Witness = DirectWitness | RelayWitness | PathWitness
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Per-demand delivery witnesses (or ``None``) for one regime."""
 
     mode: str
@@ -200,46 +207,43 @@ def verify_twohop(g: DemandGraph, plan: FlightPlan) -> VerificationReport:
         if direct is not None:
             witnesses[(src, dst)] = DirectWitness(direct)
             continue
-        best: tuple[int, int, int] | None = None  # (delivery, pickup, via)
+        witness = None
+        # Arrivals are in slot order, one flight per slot, so the first
+        # relay found is the minimum (delivery, pickup, via).
         for delivery_slot, via in arrivals.get(dst, ()):
             pickup = first_slot.get((src, via))
             if pickup is not None and pickup < delivery_slot:
-                candidate = (delivery_slot, pickup, via)
-                if best is None or candidate < best:
-                    best = candidate
-        if best is None:
-            witnesses[(src, dst)] = None
-        else:
-            delivery_slot, pickup, via = best
-            witnesses[(src, dst)] = RelayWitness(via, pickup, delivery_slot)
+                witness = RelayWitness(via, pickup, delivery_slot)
+                break
+        witnesses[(src, dst)] = witness
     return VerificationReport("twohop", plan.count, witnesses)
 
 
 def verify_multihop(g: DemandGraph, plan: FlightPlan) -> VerificationReport:
     """Time-respecting reachability via a forward sweep over the slots.
 
-    ``carried[v]`` is the bitmask of origin nodes whose information is
-    available at ``v`` so far; each flight merges its remote node's mask
-    into its home node's.  Information may wait at a node indefinitely,
-    so masks only ever grow.
+    ``carried[v]`` is the set of origin nodes whose information is
+    available at ``v`` so far; a node absent from it holds only its own.
+    Each flight adds the origins its remote node has and its home node
+    lacks.  Information may wait at a node indefinitely, so the sets only
+    ever grow, and their total size is at most ``n`` plus the number of
+    arrivals.
     """
     _check_endpoints(g, plan)
-    n = g.n
-    carried = [1 << v for v in range(n)]
+    carried: dict[int, set[int]] = {}
     # (node, origin) -> (slot, predecessor node), set when info first lands
     arrival: dict[tuple[int, int], tuple[int, int]] = {}
-    for slot, flight in enumerate(plan.flights):
-        new = carried[flight.remote] & ~carried[flight.home]
-        carried[flight.home] |= new
-        while new:
-            low = new & -new
-            origin = low.bit_length() - 1
-            arrival[(flight.home, origin)] = (slot, flight.remote)
-            new ^= low
+    for slot, (remote, home) in enumerate(plan.flights):
+        have = carried.setdefault(home, {home})
+        new = carried.get(remote, {remote}) - have
+        if new:
+            have |= new
+            for origin in new:
+                arrival[(home, origin)] = (slot, remote)
 
     witnesses: dict[tuple[int, int], Witness | None] = {}
     for src, dst in g.demands:
-        if not (carried[dst] >> src) & 1:
+        if src not in carried.get(dst, ()):
             witnesses[(src, dst)] = None
             continue
         slots: list[int] = []
@@ -271,8 +275,7 @@ def verify(mode: str, g: DemandGraph, plan: FlightPlan) -> VerificationReport:
     return verifier(g, plan)
 
 
-@dataclass(frozen=True)
-class PlanStats:
+class PlanStats(NamedTuple):
     pigeon_count: int
     breeding_counts: tuple[tuple[int, int], ...]  # (home node, pigeons bred)
     release_counts: tuple[tuple[int, int], ...]  # (remote node, pigeons released)

@@ -43,8 +43,8 @@ before a plan is extracted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 from .demand import DemandGraph, weakly_connected_components
 from .flightplan import Flight, FlightPlan
@@ -55,34 +55,45 @@ class ModelError(ValueError):
     """Raised for invalid model construction or extraction input."""
 
 
-@dataclass(frozen=True)
-class ModelVariable:
+class ModelVariable(NamedTuple):
     name: str
     kind: str  # "x" or "y"
     index: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class LinearConstraint:
+class LinearConstraint(NamedTuple):
     name: str
     terms: tuple[tuple[int, int], ...]  # (integer coefficient, variable id)
     relation: str  # "<=", ">=", "="
     constant: int
 
 
-@dataclass
-class BinaryModel:
-    """A 0/1 linear minimization program."""
-
+class _BinaryModelFields(NamedTuple):
     variables: list[ModelVariable]
     constraints: list[LinearConstraint]
     objective: tuple[tuple[int, int], ...]
 
-    def __post_init__(self) -> None:
-        for row in self.constraints:
+
+class BinaryModel(_BinaryModelFields):
+    """A 0/1 linear minimization program."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        variables: list[ModelVariable],
+        constraints: list[LinearConstraint],
+        objective: tuple[tuple[int, int], ...],
+    ) -> BinaryModel:
+        for row in constraints:
             for _coeff, var in row.terms:
-                if not 0 <= var < len(self.variables):
+                if not 0 <= var < len(variables):
                     raise ModelError(f"constraint {row.name} references unknown variable")
+        return tuple.__new__(cls, (variables, constraints, objective))
+
+    @classmethod
+    def _make(cls, iterable) -> BinaryModel:
+        return cls(*iterable)
 
 
 def _ordered_pairs(n: int) -> list[tuple[int, int]]:
@@ -237,8 +248,7 @@ def build_multihop_model(g: DemandGraph, slots: int | None = None) -> BinaryMode
     return BinaryModel(variables, constraints, objective)
 
 
-@dataclass
-class Assignment:
+class Assignment(NamedTuple):
     """Solver outcome; ``values`` satisfies all constraints when feasible.
 
     ``status`` is one of ``optimal`` (proven), ``feasible`` (a limit ran

@@ -24,8 +24,8 @@ or runs out of budget.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .demand import DemandGraph, degree_profile, lower_bound, weakly_connected_components
 from .flightplan import Flight, FlightPlan
@@ -36,8 +36,14 @@ class SearchLimitError(ValueError):
     """Instance exceeds the structural limits of the exact and ILP solvers."""
 
 
-@dataclass(frozen=True)
-class SearchLimits:
+class _SearchLimitsFields(NamedTuple):
+    max_nodes: int
+    max_demands: int
+    expansion_budget: int
+    time_budget: float | None
+
+
+class SearchLimits(_SearchLimitsFields):
     """Structural and effort caps for the exact and ILP solvers.
 
     ``max_nodes`` bounds the whole graph for 2-hop and each component for
@@ -45,16 +51,24 @@ class SearchLimits:
     but unproven answer instead of failing.
     """
 
-    max_nodes: int = 10
-    max_demands: int = 40
-    expansion_budget: int = 5_000_000
-    time_budget: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.max_nodes <= 0 or self.max_demands <= 0 or self.expansion_budget <= 0:
+    def __new__(
+        cls,
+        max_nodes: int = 10,
+        max_demands: int = 40,
+        expansion_budget: int = 5_000_000,
+        time_budget: float | None = None,
+    ) -> SearchLimits:
+        if max_nodes <= 0 or max_demands <= 0 or expansion_budget <= 0:
             raise ValueError("search limits must be positive")
-        if self.time_budget is not None and self.time_budget <= 0:
+        if time_budget is not None and time_budget <= 0:
             raise ValueError("search limits must be positive")
+        return tuple.__new__(cls, (max_nodes, max_demands, expansion_budget, time_budget))
+
+    @classmethod
+    def _make(cls, iterable) -> SearchLimits:
+        return cls(*iterable)
 
     def check_size(self, nodes: int, demands: int, scope: str) -> None:
         """Raise ``SearchLimitError`` when ``scope`` (a graph or one
@@ -69,8 +83,7 @@ class SearchLimits:
             )
 
 
-@dataclass(frozen=True)
-class PlannerResult:
+class PlannerResult(NamedTuple):
     """A plan plus the bookkeeping needed to judge it.
 
     ``mode`` is the routing regime the plan is valid for.
@@ -236,8 +249,7 @@ def _search_below_coordinator(
     return make_result(g, flights, mode, algorithm, proven_optimal=proven)
 
 
-@dataclass(frozen=True)
-class ComponentSaving:
+class ComponentSaving(NamedTuple):
     """Pigeons a plan saved against the per-component ``|S| + |D|`` cap."""
 
     nodes: tuple[int, ...]
@@ -247,8 +259,7 @@ class ComponentSaving:
     saving: int
 
 
-@dataclass(frozen=True)
-class ApproximationReport:
+class ApproximationReport(NamedTuple):
     """Actual count against the universal lower bound.
 
     ``nominal_bound`` is the closed-form ``|S| + |D| - sum of component

@@ -26,8 +26,8 @@ then three consecutive ids per gadget arm in forced-edge order.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .demand import DemandGraph
 from .flightplan import Flight, FlightPlan
@@ -42,22 +42,30 @@ class ReductionError(ValueError):
     """Raised when a reduction's input precondition fails."""
 
 
-@dataclass(frozen=True)
-class CnfFormula:
-    """3-CNF formula; literals are signed 1-based variable indices."""
-
+class _CnfFormulaFields(NamedTuple):
     num_vars: int
     clauses: tuple[tuple[int, int, int], ...]
 
-    def __post_init__(self) -> None:
-        if self.num_vars < 0:
+
+class CnfFormula(_CnfFormulaFields):
+    """3-CNF formula; literals are signed 1-based variable indices."""
+
+    __slots__ = ()
+
+    def __new__(cls, num_vars: int, clauses: tuple[tuple[int, int, int], ...]) -> CnfFormula:
+        if num_vars < 0:
             raise CnfError("variable count must be non-negative")
-        for clause in self.clauses:
+        for clause in clauses:
             if len(clause) != 3:
                 raise CnfError(f"clause {clause} must have exactly three literals")
             for lit in clause:
-                if lit == 0 or abs(lit) > self.num_vars:
+                if lit == 0 or abs(lit) > num_vars:
                     raise CnfError(f"literal {lit} out of range")
+        return tuple.__new__(cls, (num_vars, clauses))
+
+    @classmethod
+    def _make(cls, iterable) -> CnfFormula:
+        return cls(*iterable)
 
     def evaluate(self, assignment) -> bool:
         return all(
@@ -113,21 +121,29 @@ def parse_dimacs_cnf(text: str) -> CnfFormula:
     return CnfFormula(num_vars, tuple(clauses))
 
 
-@dataclass(frozen=True)
-class UndirectedGraph:
-    """Simple undirected graph; edges stored as (min, max) pairs."""
-
+class _UndirectedGraphFields(NamedTuple):
     n: int
     edges: frozenset[tuple[int, int]]
 
-    def __post_init__(self) -> None:
-        for u, v in self.edges:
+
+class UndirectedGraph(_UndirectedGraphFields):
+    """Simple undirected graph; edges stored as (min, max) pairs."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, edges: frozenset[tuple[int, int]]) -> UndirectedGraph:
+        for u, v in edges:
             if u == v:
                 raise ReductionError(f"self-loop on node {u}")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ReductionError(f"edge ({u}, {v}) out of range for n={self.n}")
+            if not (0 <= u < n and 0 <= v < n):
+                raise ReductionError(f"edge ({u}, {v}) out of range for n={n}")
             if u > v:
                 raise ReductionError("edges must be normalized as (min, max)")
+        return tuple.__new__(cls, (n, edges))
+
+    @classmethod
+    def _make(cls, iterable) -> UndirectedGraph:
+        return cls(*iterable)
 
     @classmethod
     def from_pairs(cls, n: int, pairs) -> UndirectedGraph:
@@ -168,8 +184,7 @@ def parse_undirected_graph(text: str) -> UndirectedGraph:
     return UndirectedGraph.from_pairs(doc["n"], doc["edges"])
 
 
-@dataclass(frozen=True)
-class ReductionOutput:
+class ReductionOutput(NamedTuple):
     """Generated demand graph, decision budget, and node-role annotations."""
 
     kind: str
@@ -363,8 +378,7 @@ def reduce_vertex_cover_to_multihop(g: UndirectedGraph, k: int) -> ReductionOutp
     )
 
 
-@dataclass(frozen=True)
-class SatResult:
+class SatResult(NamedTuple):
     satisfiable: bool
     witness: tuple[bool, ...] | None
 

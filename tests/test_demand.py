@@ -48,6 +48,22 @@ def test_duplicates_are_dropped_and_counted():
     assert g.duplicates_dropped == 2
 
 
+def test_equality_and_hash_ignore_duplicates_dropped():
+    g = DemandGraph.from_pairs(3, [(0, 1), (0, 1)])
+    h = DemandGraph(3, frozenset({(0, 1)}))
+    assert g == h and not g != h and hash(g) == hash(h)
+    assert g != DemandGraph(3, frozenset({(1, 0)}))
+
+
+def test_graph_is_immutable_and_replace_validates():
+    g = DemandGraph.from_pairs(3, [(0, 1)])
+    with pytest.raises(AttributeError):
+        g.n = 4
+    assert g._replace(n=5) == DemandGraph(5, frozenset({(0, 1)}))
+    with pytest.raises(DemandGraphError, match="out of range for n=1"):
+        g._replace(n=1)
+
+
 def test_canonical_json_sorts_demands():
     g = DemandGraph.from_pairs(4, [(2, 3), (0, 1), (0, 2)])
     assert g.to_json() == (

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from itertools import permutations
 
@@ -286,12 +285,12 @@ def test_certify_demo_not_tight(demo):
 
 def test_certify_detects_tampered_plan(demo):
     result = optimal_multihop(demo)
-    tampered = dataclasses.replace(result, plan=FlightPlan(result.plan.flights[:-1]))
+    tampered = result._replace(plan=FlightPlan(result.plan.flights[:-1]))
     assert not certify(demo, tampered).valid
 
 
 def test_certify_requires_proven_result(demo):
-    unproven = dataclasses.replace(plan_coordinator(demo), proven_optimal=False)
+    unproven = plan_coordinator(demo)._replace(proven_optimal=False)
     with pytest.raises(ValueError):
         certify(demo, unproven)
 

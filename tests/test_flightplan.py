@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -10,12 +11,14 @@ from pigeonpost import (
     Flight,
     FlightPlan,
     FlightPlanError,
+    VerificationReport,
     parse_flight_plan,
     plan_stats,
     verify_multihop,
     verify_singlehop,
     verify_twohop,
 )
+from pigeonpost.demand import MAX_PARSED_NODES
 from pigeonpost.flightplan import DirectWitness, PathWitness, RelayWitness
 from pigeonpost.planners import plan_cycle
 
@@ -48,6 +51,16 @@ def multihop_bruteforce(g: DemandGraph, plan: FlightPlan) -> dict:
 def test_flight_rejects_self_loop():
     with pytest.raises(FlightPlanError):
         Flight(2, 2)
+
+
+def test_flights_order_by_remote_then_home_and_replace_validates():
+    assert sorted([Flight(2, 0), Flight(1, 3), Flight(1, 2)]) == [
+        Flight(1, 2), Flight(1, 3), Flight(2, 0),
+    ]
+    with pytest.raises(FlightPlanError, match=r"non-negative: Flight\(remote=-1, home=2\)"):
+        Flight(remote=-1, home=2)
+    with pytest.raises(FlightPlanError, match="home node 1"):
+        Flight(0, 1)._replace(remote=1)
 
 
 @pytest.mark.parametrize(
@@ -235,3 +248,102 @@ def test_walk_semantics_equivalence():
                 )
                 g = DemandGraph.from_pairs(4, [(src, dst)])
                 assert verify_multihop(g, plan).satisfied == expected
+
+
+def twohop_oracle(g: DemandGraph, plan: FlightPlan) -> VerificationReport:
+    """Earliest direct flight, else the minimum (delivery, pickup, via)
+    over every pair of flight slots that relays the demand."""
+    flights = plan.flights
+    witnesses = {}
+    for src, dst in g.demands:
+        direct = [slot for slot, f in enumerate(flights) if (f.remote, f.home) == (src, dst)]
+        relays = [
+            (delivery, pickup, flights[pickup].home)
+            for pickup in range(len(flights))
+            for delivery in range(pickup + 1, len(flights))
+            if flights[pickup].remote == src
+            and flights[pickup].home == flights[delivery].remote
+            and flights[delivery].home == dst
+        ]
+        if direct:
+            witnesses[(src, dst)] = DirectWitness(direct[0])
+        elif relays:
+            delivery, pickup, via = min(relays)
+            witnesses[(src, dst)] = RelayWitness(via, pickup, delivery)
+        else:
+            witnesses[(src, dst)] = None
+    return VerificationReport("twohop", len(flights), witnesses)
+
+
+def multihop_oracle(g: DemandGraph, plan: FlightPlan) -> VerificationReport:
+    """Per origin, a forward sweep that records where and from whom its
+    information first lands at each node; the path is rebuilt from that."""
+    first = {}  # origin -> node -> (slot, predecessor)
+    for origin in {src for src, _ in g.demands}:
+        landed = {origin: None}
+        for slot, flight in enumerate(plan.flights):
+            if flight.remote in landed and flight.home not in landed:
+                landed[flight.home] = (slot, flight.remote)
+        first[origin] = landed
+    witnesses = {}
+    for src, dst in g.demands:
+        landed = first[src]
+        if dst not in landed:
+            witnesses[(src, dst)] = None
+            continue
+        slots, nodes = [], [dst]
+        while nodes[-1] != src:
+            slot, predecessor = landed[nodes[-1]]
+            slots.append(slot)
+            nodes.append(predecessor)
+        witnesses[(src, dst)] = PathWitness(tuple(reversed(slots)), tuple(reversed(nodes)))
+    return VerificationReport("multihop", len(plan.flights), witnesses)
+
+
+def _oracle_case(seed):
+    """Up to 8 nodes; flights drawn from a few hubs so relays and chains occur."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 8)
+    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+    demands = rng.sample(pairs, rng.randint(1, min(len(pairs), 8)))
+    hubs = rng.sample(range(n), rng.randint(1, n))
+    flights = []
+    for _ in range(rng.randint(0, 14)):
+        a, b = rng.choice(pairs)
+        if rng.random() < 0.5:
+            a = rng.choice([v for v in hubs if v != b] or [a])
+        flights.append((a, b))
+    return DemandGraph.from_pairs(n, demands), FlightPlan.from_pairs(flights)
+
+
+@pytest.mark.parametrize(
+    "verifier, oracle",
+    [(verify_twohop, twohop_oracle), (verify_multihop, multihop_oracle)],
+    ids=["twohop", "multihop"],
+)
+def test_verifier_matches_its_oracle(verifier, oracle):
+    relayed = 0
+    for seed in range(600):
+        g, plan = _oracle_case(seed)
+        report = verifier(g, plan)
+        assert report.to_json() == oracle(g, plan).to_json(), seed
+        relayed += sum(
+            isinstance(w, RelayWitness) or (isinstance(w, PathWitness) and len(w.slots) > 1)
+            for w in report.witnesses.values()
+        )
+    assert relayed >= 100  # the cases exercise relays, not only direct flights
+
+
+def test_multihop_memory_is_linear_at_the_parse_cap():
+    n = MAX_PARSED_NODES
+    g = DemandGraph.from_pairs(n, [(0, n - 1)])
+    plan = FlightPlan.from_pairs([(0, 1), (1, n - 1)])
+    tracemalloc.start()
+    try:
+        report = verify_multihop(g, plan)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.satisfied
+    assert report.witnesses[(0, n - 1)] == PathWitness(slots=(0, 1), nodes=(0, 1, n - 1))
+    assert peak < 16 * 2**20, peak

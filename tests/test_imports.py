@@ -97,6 +97,44 @@ def test_commands_without_a_solver_load_no_solver_module(files, argv):
     assert not modules & SOLVER_MODULES, sorted(modules & SOLVER_MODULES)
 
 
+# Runs pigeonpost.cli.main on each argv of a JSON list, then prints whether
+# dataclasses was loaded before pigeonpost, the exit codes, and whether it
+# is loaded after.
+RUN_COMMANDS = """
+import contextlib, io, json, sys
+preloaded = "dataclasses" in sys.modules
+from pigeonpost.cli import main
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(argv))
+print(json.dumps([preloaded, codes, "dataclasses" in sys.modules]))
+"""
+
+
+def test_commands_without_scipy_do_not_load_dataclasses(files, tmp_path):
+    # Records are NamedTuples: importing dataclasses would load inspect, ast,
+    # dis and tokenize in every CLI process.  The ILP commands are left out
+    # because scipy may import dataclasses itself.
+    cnf = tmp_path / "two.cnf"
+    cnf.write_text("p cnf 3 2\n1 -2 3 0\n-1 2 3 0\n")
+    graph, plan = files["graph"], files["plan"]
+    commands = [
+        ["gen", "demo"],
+        ["bounds", graph],
+        ["verify", graph, plan, "--mode", "twohop"],
+        ["verify", graph, plan, "--mode", "multihop"],
+        ["reduce", "3sat-to-twohop", str(cnf)],
+        ["solve", graph, "--mode", "twohop", "--algorithm", "coordinator"],
+        ["solve", graph, "--mode", "multihop", "--algorithm", "cycle"],
+        ["solve", graph, "--mode", "multihop", "--algorithm", "exact"],
+    ]
+    preloaded, codes, loaded = json.loads(fresh_python("-c", RUN_COMMANDS, json.dumps(commands)))
+    assert codes == [0] * len(commands)
+    # An interpreter that preloads dataclasses makes this check vacuous.
+    assert preloaded or not loaded
+
+
 def test_exact_solve_loads_only_the_exact_solver(files):
     code, modules = cli_modules("solve", files["graph"], "--mode", "multihop", "--algorithm", "exact")
     assert code == 0

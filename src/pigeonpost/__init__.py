@@ -21,11 +21,9 @@ from importlib import import_module
 _EXPORTS = {
     "demand": (
         "ComponentPartition",
-        "DegreeProfile",
         "DemandGraph",
         "DemandGraphError",
         "PigeonLowerBound",
-        "degree_profile",
         "lower_bound",
         "parse_demand_graph",
         "weakly_connected_components",

@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 verification found unsatisfied demands, 2 bad
 usage, an instance outside the solver limits or a graph over
-``MAX_PARSED_NODES`` nodes, 3 unparseable input, 4 budget exhausted under
-``--strict``.
+``MAX_PARSED_NODES`` nodes (parsed, reduced or generated), 3 unparseable
+input, 4 budget exhausted under ``--strict``.
 """
 
 from __future__ import annotations
@@ -16,7 +16,13 @@ import sys
 # imported inside the commands that use them, so the other commands do not
 # pay for compiling and loading them.  Their errors are turned into exit
 # codes where they are imported.
-from .demand import DemandGraphError, DemandGraphSizeError, lower_bound, parse_demand_graph
+from .demand import (
+    MAX_PARSED_NODES,
+    DemandGraphError,
+    DemandGraphSizeError,
+    lower_bound,
+    parse_demand_graph,
+)
 from .flightplan import FlightPlanError, parse_flight_plan, verify
 from .jsonutil import canonical_dumps
 from .planners import (
@@ -150,8 +156,8 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
             formula = parse_dimacs_cnf(_read(args.input))
             output = reduce_3sat_to_twohop(formula)
         else:
-            if args.k is None:
-                print("error: vc-to-multihop needs --k", file=sys.stderr)
+            if args.k is None or args.k < 0:
+                print("error: vc-to-multihop needs --k >= 0", file=sys.stderr)
                 return EXIT_USAGE
             graph = parse_undirected_graph(_read(args.input))
             output = reduce_vertex_cover_to_multihop(graph, args.k)
@@ -163,17 +169,26 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def _cmd_export_lp(args: argparse.Namespace) -> int:
-    from .ilp import build_multihop_model, build_twohop_model, export_lp
+    from .ilp import ModelError, build_multihop_model, build_twohop_model, export_lp
 
     graph = parse_demand_graph(_read(args.graph))
     builder = build_twohop_model if args.mode == "twohop" else build_multihop_model
-    _write(args.output, export_lp(builder(graph)))
+    try:
+        model = builder(graph)
+    except ModelError as exc:  # a multihop model covers one component
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    _write(args.output, export_lp(model))
     return EXIT_OK
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     from .instances import cycle_graph, demo_graph, random_graph, star_graph
 
+    if args.kind != "demo" and args.n > MAX_PARSED_NODES:
+        print(f"error: --n {args.n} exceeds the limit of {MAX_PARSED_NODES} nodes",
+              file=sys.stderr)
+        return EXIT_USAGE
     try:
         if args.kind == "demo":
             graph = demo_graph()

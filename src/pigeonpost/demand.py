@@ -8,8 +8,7 @@ nodes with incoming demand are *destinations*; a node may be both.
 The JSON interchange format is ``{"n": <int>, "demands": [[src, dst], ...]}``.
 Canonical serialization sorts the demand list lexicographically so that
 identical graphs always produce byte-identical documents.  A parsed
-document may have at most ``MAX_PARSED_NODES`` nodes: the bounds,
-planners and verifiers allocate per node.
+document may have at most ``MAX_PARSED_NODES`` nodes.
 """
 
 from __future__ import annotations
@@ -21,8 +20,8 @@ from .jsonutil import canonical_dumps
 
 
 # 8x the largest benchmark graph (7,971 nodes).  The bounds, planners and
-# verifiers allocate per node, so without a cap a document with a huge "n"
-# and a single demand would exhaust memory.
+# verifiers work per demand, but ``gen`` and ``reduce`` build a graph per
+# node, so the CLI refuses every graph it reads or builds above this cap.
 MAX_PARSED_NODES = 65_536
 
 
@@ -98,11 +97,6 @@ class DemandGraph(_DemandGraphFields):
     def sorted_demands(self) -> list[tuple[int, int]]:
         return sorted(self.demands)
 
-    def restricted_to(self, nodes: frozenset[int]) -> DemandGraph:
-        """Same node universe, keeping only demands inside ``nodes``."""
-        kept = frozenset(d for d in self.demands if d[0] in nodes and d[1] in nodes)
-        return DemandGraph(n=self.n, demands=kept)
-
     def to_json(self) -> str:
         return canonical_dumps(self.to_json_dict())
 
@@ -131,66 +125,62 @@ def parse_demand_graph(text: str) -> DemandGraph:
     return DemandGraph.from_pairs(n, demands)
 
 
-class DegreeProfile(NamedTuple):
-    """Source/destination sets and per-node total (in+out) degree."""
-
-    sources: frozenset[int]
-    destinations: frozenset[int]
-    degree: tuple[int, ...]
-
-
-def degree_profile(g: DemandGraph) -> DegreeProfile:
-    degree = [0] * g.n
-    sources = set()
-    destinations = set()
-    for src, dst in g.demands:
-        sources.add(src)
-        destinations.add(dst)
-        degree[src] += 1
-        degree[dst] += 1
-    return DegreeProfile(
-        sources=frozenset(sources),
-        destinations=frozenset(destinations),
-        degree=tuple(degree),
-    )
-
-
 class ComponentPartition(NamedTuple):
-    """Weakly connected components of the demand graph.
+    """Weakly connected components of the demand graph and their demands.
 
     Only nodes incident to at least one demand belong to a component.
     Components are ordered by their smallest member, which makes every
-    downstream iteration deterministic.
+    downstream iteration deterministic.  ``demands[i]`` holds the demands
+    inside ``components[i]``; every demand lies in exactly one component.
     """
 
     components: tuple[frozenset[int], ...]
+    demands: tuple[frozenset[tuple[int, int]], ...]
 
 
 def weakly_connected_components(g: DemandGraph) -> ComponentPartition:
-    """Components of the undirected support of the demand set."""
-    adjacency: dict[int, set[int]] = {}
-    for src, dst in g.demands:
-        adjacency.setdefault(src, set()).add(dst)
-        adjacency.setdefault(dst, set()).add(src)
+    """Components of the undirected support of the demand set.
 
-    seen: set[int] = set()
+    One depth-first search labels every endpoint with its component, then
+    one pass over the demands groups them by their source's label.
+    """
+    adjacency: dict[int, list[int]] = {}
+    for src, dst in g.demands:
+        adjacency.setdefault(src, []).append(dst)
+        adjacency.setdefault(dst, []).append(src)
+
+    label: dict[int, int] = {}
     components: list[frozenset[int]] = []
+    # A component is first reached from its smallest member, so the
+    # components come out ordered by it.
     for start in sorted(adjacency):
-        if start in seen:
+        if start in label:
             continue
+        index = len(components)
+        label[start] = index
+        comp = [start]
         stack = [start]
-        comp: set[int] = set()
         while stack:
-            node = stack.pop()
-            if node in comp:
-                continue
-            comp.add(node)
-            stack.extend(adjacency[node] - comp)
-        seen |= comp
+            for other in adjacency[stack.pop()]:
+                if other not in label:
+                    label[other] = index
+                    comp.append(other)
+                    stack.append(other)
         components.append(frozenset(comp))
 
-    components.sort(key=min)
-    return ComponentPartition(components=tuple(components))
+    grouped: list[list[tuple[int, int]]] = [[] for _ in components]
+    for demand in g.demands:
+        grouped[label[demand[0]]].append(demand)
+    return ComponentPartition(
+        components=tuple(components),
+        demands=tuple(frozenset(demands) for demands in grouped),
+    )
+
+
+def _endpoint_bound(demands) -> int:
+    """``max(|S|, |D|)`` of a demand set: every source releases a pigeon
+    and every destination receives one."""
+    return max(len({src for src, _ in demands}), len({dst for _, dst in demands}))
 
 
 class PigeonLowerBound(NamedTuple):
@@ -217,15 +207,9 @@ class PigeonLowerBound(NamedTuple):
 
 def lower_bound(g: DemandGraph) -> PigeonLowerBound:
     """``max(|S|, |D|)`` globally and per weakly connected component."""
-    profile = degree_profile(g)
-    overall = max(len(profile.sources), len(profile.destinations))
-    per_component = []
-    for comp in weakly_connected_components(g).components:
-        sources = len(profile.sources & comp)
-        destinations = len(profile.destinations & comp)
-        per_component.append(max(sources, destinations))
+    per_component = tuple(map(_endpoint_bound, weakly_connected_components(g).demands))
     return PigeonLowerBound(
-        overall=overall,
-        per_component=tuple(per_component),
+        overall=_endpoint_bound(g.demands),
+        per_component=per_component,
         component_total=sum(per_component),
     )

@@ -23,13 +23,18 @@ or runs out of budget.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Callable
-from fractions import Fraction
-from typing import NamedTuple
+from itertools import chain
+from math import gcd
+from typing import TYPE_CHECKING, NamedTuple
 
-from .demand import DemandGraph, degree_profile, lower_bound, weakly_connected_components
+from .demand import DemandGraph, _endpoint_bound, weakly_connected_components
 from .flightplan import Flight, FlightPlan
 from .jsonutil import canonical_dumps
+
+if TYPE_CHECKING:  # fractions loads decimal and numbers; imported where a ratio is built
+    from fractions import Fraction
 
 
 class SearchLimitError(ValueError):
@@ -105,18 +110,22 @@ class PlannerResult(NamedTuple):
     @property
     def ratio(self) -> Fraction:
         """``count / max(lower_bound, 1)``, kept exact."""
+        from fractions import Fraction
+
         return Fraction(self.count, max(self.lower_bound, 1))
 
     def to_json(self) -> str:
         return canonical_dumps(self.to_json_dict())
 
     def to_json_dict(self) -> dict:
+        count, bound = self.count, max(self.lower_bound, 1)
+        common = gcd(count, bound)
         doc = {
             "algorithm": self.algorithm,
             "mode": self.mode,
-            "count": self.count,
+            "count": count,
             "lower_bound": self.lower_bound,
-            "ratio": f"{self.ratio.numerator}/{self.ratio.denominator}",
+            "ratio": f"{count // common}/{bound // common}",
             "proven_optimal": self.proven_optimal,
             "plan": self.plan.to_json_dict(),
         }
@@ -133,16 +142,19 @@ def make_result(
     proven_optimal: bool = False,
     coordinators: tuple[int, ...] = (),
 ) -> PlannerResult:
-    # ``lower_bound(g).overall``, without its degree profile and component split.
-    bound = max(len({src for src, _ in g.demands}), len({dst for _, dst in g.demands}))
     return PlannerResult(
         plan=FlightPlan(tuple(flights)),
         mode=mode,
         algorithm=algorithm,
-        lower_bound=bound,
+        lower_bound=_endpoint_bound(g.demands),  # lower_bound(g).overall
         proven_optimal=proven_optimal,
         coordinators=coordinators,
     )
+
+
+def _degree(demands) -> Counter[int]:
+    """Total (in + out) degree of every endpoint of ``demands``."""
+    return Counter(chain.from_iterable(demands))
 
 
 def plan_singlehop(g: DemandGraph) -> PlannerResult:
@@ -164,21 +176,16 @@ def plan_coordinator(g: DemandGraph) -> PlannerResult:
     scatter flights (each hub to its destinations) globally, so every
     relay pickup lands before its delivery departs.
     """
-    profile = degree_profile(g)
     partition = weakly_connected_components(g)
-
     coordinators: list[int] = []
     gather: list[Flight] = []
     scatter: list[Flight] = []
-    for comp in partition.components:
-        hub = min(comp, key=lambda v: (-profile.degree[v], v))
+    for comp, demands in zip(partition.components, partition.demands):
+        degree = _degree(demands)
+        hub = min(comp, key=lambda v: (-degree[v], v))
         coordinators.append(hub)
-        for node in sorted(comp):
-            if node != hub and node in profile.sources:
-                gather.append(Flight(node, hub))
-        for node in sorted(comp):
-            if node != hub and node in profile.destinations:
-                scatter.append(Flight(hub, node))
+        gather.extend(Flight(src, hub) for src in sorted({src for src, _ in demands} - {hub}))
+        scatter.extend(Flight(hub, dst) for dst in sorted({dst for _, dst in demands} - {hub}))
 
     return make_result(
         g,
@@ -225,12 +232,13 @@ def _search_below_coordinator(
     the incumbent, and whether that answer is proven: None and proven
     means no such plan exists.  The result is proven when every part is.
     """
+    partition = weakly_connected_components(g)
     if mode == "twohop":
         parts = [(g, g.n, "graph")]
     else:
         parts = [
-            (g.restricted_to(comp), len(comp), "component")
-            for comp in weakly_connected_components(g).components
+            (DemandGraph(g.n, demands), len(comp), "component")
+            for comp, demands in zip(partition.components, partition.demands)
         ]
     flights: list[Flight] = []
     proven = True
@@ -238,7 +246,7 @@ def _search_below_coordinator(
         limits.check_size(nodes, len(part.demands), scope)
         incumbent = plan_coordinator(part)
         if mode == "twohop":
-            bound = lower_bound(part).component_total
+            bound = sum(map(_endpoint_bound, partition.demands))  # lower_bound(g).component_total
         else:
             bound = max(nodes - 1, incumbent.lower_bound)
         found = None
@@ -295,17 +303,17 @@ class ApproximationReport(NamedTuple):
 
 def approximation_report(g: DemandGraph, result: PlannerResult) -> ApproximationReport:
     """Compare a planner result against the lower bound, per component."""
-    profile = degree_profile(g)
-    partition = weakly_connected_components(g)
-    bound = max(len(profile.sources), len(profile.destinations))  # lower_bound(g).overall
+    from fractions import Fraction
 
+    partition = weakly_connected_components(g)
+    bound = _endpoint_bound(g.demands)  # lower_bound(g).overall
+    nominal = 0
     per_component: list[ComponentSaving] = []
-    nominal = len(profile.sources) + len(profile.destinations)
-    for comp in partition.components:
-        sources = len(profile.sources & comp)
-        destinations = len(profile.destinations & comp)
+    for comp, demands in zip(partition.components, partition.demands):
+        sources = len({src for src, _ in demands})
+        destinations = len({dst for _, dst in demands})
         used = sum(1 for f in result.plan.flights if f.remote in comp)
-        nominal -= max(profile.degree[v] for v in comp)
+        nominal += sources + destinations - max(_degree(demands).values())
         per_component.append(
             ComponentSaving(
                 nodes=tuple(sorted(comp)),

@@ -29,7 +29,7 @@ import json
 from itertools import combinations
 from typing import NamedTuple
 
-from .demand import DemandGraph
+from .demand import MAX_PARSED_NODES, DemandGraph, DemandGraphSizeError
 from .flightplan import Flight, FlightPlan
 from .jsonutil import canonical_dumps
 
@@ -148,7 +148,13 @@ class UndirectedGraph(_UndirectedGraphFields):
     @classmethod
     def from_pairs(cls, n: int, pairs) -> UndirectedGraph:
         edges = set()
-        for u, v in pairs:
+        for pair in pairs:
+            if not isinstance(pair, (tuple, list)) or len(pair) != 2:
+                raise ReductionError(f"edge entry {pair!r} is not a pair")
+            u, v = pair
+            # Exact type: bool is an int subclass, so JSON true would pass as node 1.
+            if type(u) is not int or type(v) is not int:
+                raise ReductionError(f"edge endpoints must be integers: {pair!r}")
             edges.add((min(u, v), max(u, v)))
         return cls(n=n, edges=frozenset(edges))
 
@@ -172,16 +178,25 @@ class UndirectedGraph(_UndirectedGraphFields):
 
 
 def parse_undirected_graph(text: str) -> UndirectedGraph:
-    """Parse ``{"n": <int>, "edges": [[u, v], ...]}``."""
+    """Parse ``{"n": <int>, "edges": [[u, v], ...]}``.
+
+    The vertex cover reduction keeps the node set, so ``n`` may be at most
+    ``MAX_PARSED_NODES``, as for a demand graph document.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ReductionError(f"malformed JSON: {exc}") from exc
     if not isinstance(doc, dict) or "n" not in doc or "edges" not in doc:
         raise ReductionError('graph document needs "n" and "edges"')
-    if not isinstance(doc["n"], int) or not isinstance(doc["edges"], list):
-        raise ReductionError("graph document fields have wrong types")
-    return UndirectedGraph.from_pairs(doc["n"], doc["edges"])
+    n = doc["n"]
+    if type(n) is not int or n < 0:
+        raise ReductionError('"n" must be a non-negative integer')
+    if n > MAX_PARSED_NODES:
+        raise DemandGraphSizeError(f'"n" = {n} exceeds the limit of {MAX_PARSED_NODES} nodes')
+    if not isinstance(doc["edges"], list):
+        raise ReductionError('"edges" must be a list of [u, v] pairs')
+    return UndirectedGraph.from_pairs(n, doc["edges"])
 
 
 class ReductionOutput(NamedTuple):
@@ -227,12 +242,22 @@ def reduce_3sat_to_twohop(formula: CnfFormula) -> ReductionOutput:
     between complementary literals) each receive ``2n + 4`` gadget arms.
     Duplicate literals inside a clause collapse to one demand edge, so
     the forced-edge list can be shorter than ``2n + 3m``; the emitted
-    budget always uses the closed form.
+    budget always uses the closed form.  A graph of more than
+    ``MAX_PARSED_NODES`` nodes is refused with ``DemandGraphSizeError``
+    before any demand is built.
     """
     n = formula.num_vars
     m = len(formula.clauses)
     star = m + 2 * n
     arms = 2 * n + 4
+    base = star + 1
+    forced_count = sum(len(set(clause)) for clause in formula.clauses) + 2 * n
+    total_nodes = base + forced_count * arms * 3
+    if total_nodes > MAX_PARSED_NODES:
+        raise DemandGraphSizeError(
+            f"the reduction of {n} variables and {m} clauses has {total_nodes} nodes, "
+            f"over the limit of {MAX_PARSED_NODES}"
+        )
 
     demands: set[tuple[int, int]] = set()
     forced: list[tuple[int, int]] = []
@@ -272,7 +297,6 @@ def reduce_3sat_to_twohop(formula: CnfFormula) -> ReductionOutput:
         )
     roles.append({"node": star, "role": "star"})
 
-    base = star + 1
     for edge_idx, (a, b) in enumerate(forced):
         for arm in range(1, arms + 1):
             u1 = base + (edge_idx * arms + (arm - 1)) * 3
@@ -291,7 +315,6 @@ def reduce_3sat_to_twohop(formula: CnfFormula) -> ReductionOutput:
                     }
                 )
 
-    total_nodes = base + len(forced) * arms * 3
     budget = 12 * n * n + 18 * n * m + 27 * n + 39 * m
     roles.sort(key=lambda r: r["node"])
     return ReductionOutput(

@@ -5,6 +5,7 @@ import pytest
 
 from pigeonpost.cli import main
 from pigeonpost.instances import cycle_graph, demo_graph
+from pigeonpost.reductions import parse_undirected_graph
 
 
 @pytest.fixture
@@ -266,3 +267,60 @@ def test_ilp_without_scipy_exits_two(demo_file, capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert "pigeonpost[solver]" in captured.err
+
+
+def assert_one_error_line(captured):
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["export-lp", "{path}", "--mode", "multihop"], '{"n": 4, "demands": [[0, 1], [2, 3]]}'),
+        (["reduce", "vc-to-multihop", "{path}", "--k", "1"], '{"n": 100000000000, "edges": [[0, 1]]}'),
+        (["reduce", "vc-to-multihop", "{path}", "--k", "1"], '{"n": 65537, "edges": [[0, 1]]}'),
+        (["reduce", "vc-to-multihop", "{path}", "--k", "-1"], '{"n": 2, "edges": [[0, 1]]}'),
+        (["reduce", "3sat-to-twohop", "{path}"], "p cnf 100000000 1\n1 2 3 0\n"),
+        (["reduce", "3sat-to-twohop", "{path}"], "p cnf 73 1\n1 2 3 0\n"),
+        (["gen", "cycle", "--n", "100000000"], ""),
+        (["gen", "star", "--n", "65537"], ""),
+        (["gen", "random", "--n", "65537"], ""),
+    ],
+    ids=["export-lp-two-components", "vc-n-1e11", "vc-n-65537", "vc-negative-k",
+         "3sat-1e8-vars", "3sat-73-vars", "gen-cycle-1e8", "gen-star-65537", "gen-random-65537"],
+)
+def test_refused_input_exits_two(tmp_path, capsys, argv, text):
+    path = tmp_path / "input"
+    path.write_text(text)
+    code = main([arg.format(path=path) for arg in argv])
+    assert code == 2
+    assert_one_error_line(capsys.readouterr())
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"n": 3, "edges": [[0, 1, 2]]}',
+        '{"n": 3, "edges": [["a", "b"]]}',
+        '{"n": 3, "edges": [5]}',
+        '{"n": 3, "edges": [[true, 1]]}',
+        '{"n": 3.0, "edges": [[0, 1]]}',
+        '{"n": true, "edges": [[0, 1]]}',
+        '{"n": -1, "edges": []}',
+        '{"n": 3, "edges": {"0": 1}}',
+    ],
+)
+def test_malformed_undirected_graph_exits_three(tmp_path, capsys, text):
+    path = tmp_path / "graph.json"
+    path.write_text(text)
+    code = main(["reduce", "vc-to-multihop", str(path), "--k", "1"])
+    assert code == 3
+    assert_one_error_line(capsys.readouterr())
+
+
+def test_generated_and_undirected_graphs_at_the_node_cap(capsys):
+    code, out = run(capsys, "gen", "cycle", "--n", "65536")
+    assert code == 0 and json.loads(out)["n"] == 65_536
+    assert parse_undirected_graph('{"n": 65536, "edges": [[0, 1]]}').n == 65_536

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from pigeonpost import (
     DemandGraph,
     DemandGraphError,
-    degree_profile,
     lower_bound,
     parse_demand_graph,
     weakly_connected_components,
@@ -74,27 +73,6 @@ def test_canonical_json_sorts_demands():
 
 def test_json_round_trip(demo):
     assert parse_demand_graph(demo.to_json()) == demo
-
-
-def test_degree_profile_demo(demo):
-    profile = degree_profile(demo)
-    assert profile.sources == {0, 1, 2}
-    assert profile.destinations == {3, 4, 5}
-    assert profile.degree[0] == 3
-
-
-def test_degree_profile_empty():
-    profile = degree_profile(DemandGraph.from_pairs(4, []))
-    assert profile.sources == frozenset()
-    assert profile.destinations == frozenset()
-
-
-def test_degree_profile_cycle():
-    g = DemandGraph.from_pairs(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-    profile = degree_profile(g)
-    assert profile.sources == {0, 1, 2, 3}
-    assert profile.destinations == {0, 1, 2, 3}
-    assert all(d == 2 for d in profile.degree)
 
 
 def test_components_demo_is_single(demo):

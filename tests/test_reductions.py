@@ -79,6 +79,16 @@ def test_3sat_reduction_example_formula_counts():
     assert len(red.graph.demands) == expected_demand_count(5, 2)
 
 
+def test_3sat_node_count_with_repeated_literals():
+    # The node count is computed before the graph is built; repeated
+    # literals collapse forced edges, so it must count distinct ones.
+    red = reduce_3sat_to_twohop(parse_dimacs_cnf("p cnf 3 2\n1 1 2 0\n-1 -1 -1 0\n"))
+    assert len(red.forced_edges) == 3 + 2 * 3
+    assert red.graph.n == len(red.roles) < expected_node_count(3, 2)
+    assert [r["node"] for r in red.roles] == list(range(red.graph.n))
+    assert max(v for d in red.graph.demands for v in d) == red.graph.n - 1
+
+
 @pytest.mark.parametrize("n,m", [(3, 1), (4, 2), (5, 2), (6, 4)])
 def test_3sat_placement_identity(n, m):
     # pigeons placed by the constructive schedule match the emitted budget

@@ -137,7 +137,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
     graph = parse_demand_graph(_read(args.graph))
-    _write(args.output, canonical_dumps(lower_bound(graph).to_json_dict()))
+    _write(args.output, canonical_dumps(lower_bound(graph)._asdict()))
     return EXIT_OK
 
 
@@ -284,7 +284,7 @@ def main(argv=None) -> int:
     except _PARSE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -36,21 +36,14 @@ class DemandGraphSizeError(DemandGraphError):
 class _DemandGraphFields(NamedTuple):
     n: int
     demands: frozenset[tuple[int, int]]
-    duplicates_dropped: int
 
 
 class DemandGraph(_DemandGraphFields):
-    """Directed unweighted demand graph on node ids ``[0, n)``.
-
-    ``duplicates_dropped`` counts input pairs discarded by deduplication;
-    it is informational and excluded from equality and hashing.
-    """
+    """Directed unweighted demand graph on node ids ``[0, n)``."""
 
     __slots__ = ()
 
-    def __new__(
-        cls, n: int, demands: frozenset[tuple[int, int]], duplicates_dropped: int = 0
-    ) -> DemandGraph:
+    def __new__(cls, n: int, demands: frozenset[tuple[int, int]]) -> DemandGraph:
         if n < 0:
             raise DemandGraphError(f"node count must be non-negative, got {n}")
         for src, dst in demands:
@@ -58,29 +51,16 @@ class DemandGraph(_DemandGraphFields):
                 raise DemandGraphError(f"self-demand ({src}, {dst}) is not allowed")
             if not (0 <= src < n and 0 <= dst < n):
                 raise DemandGraphError(f"demand ({src}, {dst}) out of range for n={n}")
-        return tuple.__new__(cls, (n, demands, duplicates_dropped))
+        return tuple.__new__(cls, (n, demands))
 
     @classmethod
     def _make(cls, iterable) -> DemandGraph:
         return cls(*iterable)
 
-    def __eq__(self, other):
-        if isinstance(other, DemandGraph):
-            return self.n == other.n and self.demands == other.demands
-        return NotImplemented
-
-    def __ne__(self, other):
-        equal = self.__eq__(other)
-        return equal if equal is NotImplemented else not equal
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.demands))
-
     @classmethod
     def from_pairs(cls, n: int, pairs) -> DemandGraph:
         """Build a validated graph from (src, dst) pairs, dropping duplicates."""
-        seen: set[tuple[int, int]] = set()
-        dropped = 0
+        demands: set[tuple[int, int]] = set()
         for pair in pairs:
             if not isinstance(pair, (tuple, list)) or len(pair) != 2:
                 raise DemandGraphError(f"demand entry {pair!r} is not a pair")
@@ -88,11 +68,8 @@ class DemandGraph(_DemandGraphFields):
             # Exact type: bool is an int subclass, so JSON true would pass as node 1.
             if type(src) is not int or type(dst) is not int:
                 raise DemandGraphError(f"demand endpoints must be integers: {pair!r}")
-            if (src, dst) in seen:
-                dropped += 1
-            else:
-                seen.add((src, dst))
-        return cls(n=n, demands=frozenset(seen), duplicates_dropped=dropped)
+            demands.add((src, dst))
+        return cls(n=n, demands=frozenset(demands))
 
     def sorted_demands(self) -> list[tuple[int, int]]:
         return sorted(self.demands)
@@ -108,7 +85,7 @@ def parse_demand_graph(text: str) -> DemandGraph:
     """Parse and validate a demand graph from its JSON document."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, or an int over 4,300 digits
         raise DemandGraphError(f"malformed JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise DemandGraphError("demand graph document must be a JSON object")
@@ -196,13 +173,6 @@ class PigeonLowerBound(NamedTuple):
     overall: int
     per_component: tuple[int, ...]
     component_total: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "overall": self.overall,
-            "per_component": list(self.per_component),
-            "component_total": self.component_total,
-        }
 
 
 def lower_bound(g: DemandGraph) -> PigeonLowerBound:

@@ -22,13 +22,14 @@ Both solvers follow the policy of ``planners._search_below_coordinator``
 (2-hop over the whole graph, multihop per component): the coordinator
 plan is the incumbent, a count that meets the lower bound is returned as
 proven without a search, and otherwise the search looks only for plans
-with fewer flights.  Failing to find one proves the incumbent optimal;
-running out of the expansion budget keeps it, flagged as not proven.
+with fewer flights.  Failing to find one proves the incumbent optimal.
+The policy holds the solve's one budget: the searches spend from it and
+raise when it runs out, and the policy then keeps the incumbent, flagged
+as not proven.
 """
 
 from __future__ import annotations
 
-import time
 from collections.abc import Iterable
 from heapq import heappop, heappush
 from typing import NamedTuple
@@ -40,30 +41,9 @@ from .planners import (  # SearchLimitError is re-exported for callers of this m
     PlannerResult,
     SearchLimitError,
     SearchLimits,
+    _Effort,
     _search_below_coordinator,
 )
-
-
-class _BudgetExhausted(Exception):
-    pass
-
-
-class _Effort:
-    """Shared expansion/time accounting across sub-searches."""
-
-    def __init__(self, limits: SearchLimits):
-        self.remaining = limits.expansion_budget
-        self.deadline = (
-            None if limits.time_budget is None else time.monotonic() + limits.time_budget
-        )
-
-    def spend(self, amount: int = 1) -> None:
-        self.remaining -= amount
-        if self.remaining < 0:
-            raise _BudgetExhausted
-        if self.deadline is not None and self.remaining % 1024 == 0:
-            if time.monotonic() > self.deadline:
-                raise _BudgetExhausted
 
 
 def _min_covering_walk(
@@ -73,7 +53,8 @@ def _min_covering_walk(
     max_flights: int,
 ) -> list[int] | None:
     """Shortest walk over ``nodes`` serving every demand in at most
-    ``max_flights`` flights, or None when there is none; raises on budget.
+    ``max_flights`` flights, or None when there is none; ``effort.spend``
+    raises when the budget runs out.
 
     Uniform-cost search (cost 1 per appended node) guided by a consistent
     lower bound: every not-yet-appeared node and every node that is the
@@ -169,6 +150,14 @@ def _min_covering_walk(
     return [nodes[i] for i in reversed(walk_local)]
 
 
+def _search_multihop(
+    part: DemandGraph, bound: int, cap: int, effort: _Effort
+) -> list[Flight] | None:
+    nodes = sorted({v for demand in part.demands for v in demand})
+    walk = _min_covering_walk(nodes, part.demands, effort, cap)
+    return None if walk is None else [Flight(a, b) for a, b in zip(walk, walk[1:])]
+
+
 def optimal_multihop(g: DemandGraph, limits: SearchLimits = SearchLimits()) -> PlannerResult:
     """Provably minimal multihop plan, solved per component.
 
@@ -176,19 +165,7 @@ def optimal_multihop(g: DemandGraph, limits: SearchLimits = SearchLimits()) -> P
     coordinator plan.  Components whose search exhausts the budget keep
     the coordinator plan and the result is flagged as not proven optimal.
     """
-    effort = _Effort(limits)
-
-    def search(part: DemandGraph, bound: int, cap: int):
-        nodes = sorted({v for demand in part.demands for v in demand})
-        try:
-            walk = _min_covering_walk(nodes, part.demands, effort, cap)
-        except _BudgetExhausted:
-            return None, False
-        if walk is None:
-            return None, True
-        return [Flight(a, b) for a, b in zip(walk, walk[1:])], True
-
-    return _search_below_coordinator(g, "multihop", "exact", limits, search)
+    return _search_below_coordinator(g, "multihop", "exact", limits, _search_multihop)
 
 
 class _TwoHopSearch:
@@ -267,6 +244,17 @@ class _TwoHopSearch:
         return False
 
 
+def _search_twohop(
+    part: DemandGraph, bound: int, cap: int, effort: _Effort
+) -> list[Flight] | None:
+    deepening = _TwoHopSearch(part, effort)
+    for k in range(bound, cap + 1):
+        found = deepening.find_plan(k)
+        if found is not None:
+            return [Flight(a, b) for a, b in found]
+    return None
+
+
 def optimal_twohop(g: DemandGraph, limits: SearchLimits = SearchLimits()) -> PlannerResult:
     """Provably minimal 2-hop plan via iterative deepening.
 
@@ -275,20 +263,7 @@ def optimal_twohop(g: DemandGraph, limits: SearchLimits = SearchLimits()) -> Pla
     and when none is, the coordinator plan is.  On budget exhaustion the
     coordinator plan is returned unproven.
     """
-    effort = _Effort(limits)
-
-    def search(part: DemandGraph, bound: int, cap: int):
-        deepening = _TwoHopSearch(part, effort)
-        try:
-            for k in range(bound, cap + 1):
-                found = deepening.find_plan(k)
-                if found is not None:
-                    return [Flight(a, b) for a, b in found], True
-        except _BudgetExhausted:
-            return None, False
-        return None, True
-
-    return _search_below_coordinator(g, "twohop", "exact", limits, search)
+    return _search_below_coordinator(g, "twohop", "exact", limits, _search_twohop)
 
 
 class OptimalityCertificate(NamedTuple):
@@ -301,16 +276,7 @@ class OptimalityCertificate(NamedTuple):
     valid: bool
 
     def to_json(self) -> str:
-        return canonical_dumps(self.to_json_dict())
-
-    def to_json_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "count": self.count,
-            "lower_bound": self.lower_bound,
-            "tight": self.tight,
-            "valid": self.valid,
-        }
+        return canonical_dumps(self._asdict())
 
 
 def certify(g: DemandGraph, result: PlannerResult) -> OptimalityCertificate:

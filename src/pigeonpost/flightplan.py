@@ -86,9 +86,9 @@ def parse_flight_plan(text: str) -> FlightPlan:
     """Parse a plan from ``{"flights": [{"remote": r, "home": h}, ...]}``."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, or an int over 4,300 digits
         raise FlightPlanError(f"malformed JSON: {exc}") from exc
-    if not isinstance(doc, dict) or "flights" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("flights"), list):
         raise FlightPlanError('plan document needs a "flights" array')
     flights = []
     for entry in doc["flights"]:

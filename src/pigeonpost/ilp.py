@@ -38,7 +38,8 @@ flights than the incumbent.  ``_tighten`` replaces the multihop pairwise
 linking rows by aggregated ones and forces the used 2-hop slots to form
 a prefix.  When HiGHS proves that model infeasible, the incumbent is
 optimal.  A solution is checked against every row of the model as built
-before a plan is extracted.
+before a plan is extracted.  Every HiGHS call of one solve gets the time
+left to the solve's one deadline; the node limit applies per call.
 """
 
 from __future__ import annotations
@@ -48,7 +49,13 @@ from typing import NamedTuple
 
 from .demand import DemandGraph, weakly_connected_components
 from .flightplan import Flight, FlightPlan
-from .planners import PlannerResult, SearchLimits, _search_below_coordinator
+from .planners import (
+    PlannerResult,
+    SearchLimits,
+    _BudgetExhausted,
+    _Effort,
+    _search_below_coordinator,
+)
 
 
 class ModelError(ValueError):
@@ -288,9 +295,10 @@ def _verify_assignment(model: BinaryModel, values: dict[str, int]) -> None:
 def solve_binary_model(model: BinaryModel, limits: SearchLimits = SearchLimits()) -> Assignment:
     """Exact 0/1 minimization with HiGHS.
 
-    ``limits.expansion_budget`` is HiGHS's node limit and
-    ``limits.time_budget`` its time limit.  Needs numpy and scipy (the
-    ``solver`` extra) unless the model has no variables.
+    ``limits.expansion_budget`` is HiGHS's node limit, clipped to the
+    largest value its 32-bit option takes, and ``limits.time_budget`` its
+    time limit.  Needs numpy and scipy (the ``solver`` extra) unless the
+    model has no variables.
     """
     if not model.variables:
         # The empty assignment is the only point; it may still fail a row.
@@ -332,7 +340,7 @@ def solve_binary_model(model: BinaryModel, limits: SearchLimits = SearchLimits()
     if nrows:
         matrix = sparse.csr_matrix((data, (rows, cols)), shape=(nrows, nvars))
         constraints = LinearConstraint(matrix, np.array(lower), np.array(upper))
-    options: dict = {"node_limit": limits.expansion_budget}
+    options: dict = {"node_limit": min(limits.expansion_budget, 2**31 - 1)}
     if limits.time_budget is not None:
         options["time_limit"] = limits.time_budget
     result = milp(
@@ -468,7 +476,9 @@ def _tighten(kind: str, model: BinaryModel) -> BinaryModel:
     return BinaryModel(model.variables, constraints, model.objective)
 
 
-def _solve_below(kind: str, limits: SearchLimits, part: DemandGraph, bound: int, cap: int):
+def _solve_below(
+    kind: str, limits: SearchLimits, part: DemandGraph, bound: int, cap: int, effort: _Effort
+) -> list[Flight] | None:
     """Search of ``_search_below_coordinator``: a plan of ``part`` with at
     most ``cap`` flights, from ``_tighten(kind, model)`` with the model
     built at ``cap`` flight slots (2-hop) or ``cap + 1`` walk positions.
@@ -476,18 +486,24 @@ def _solve_below(kind: str, limits: SearchLimits, part: DemandGraph, bound: int,
 
     A solution must also satisfy every row of the model as built, so a
     transform bug raises ``ModelError`` rather than yield a wrong plan.
-    Infeasible proves that no such plan exists; unknown means a limit
-    ran out.
+    Infeasible proves that no such plan exists.  When a limit runs out,
+    ``_BudgetExhausted`` carries the plan HiGHS has found, if any.
     """
     if kind == "twohop":
         model = build_twohop_model(part, cap)
     else:
         model = build_multihop_model(part, cap + 1)
+    limits = limits._replace(time_budget=effort.time_left())
     result = solve_binary_model(_tighten(kind, model), limits)
-    if not result.feasible:
-        return None, result.status == "infeasible"
+    if result.status == "infeasible":
+        return None
+    if result.status == "unknown":
+        raise _BudgetExhausted
     _verify_assignment(model, result.values)
-    return list(extract_plan(kind, model, result).flights), result.proven_optimal
+    flights = list(extract_plan(kind, model, result).flights)
+    if result.status == "feasible":
+        raise _BudgetExhausted(flights)
+    return flights
 
 
 def optimal_twohop_ilp(g: DemandGraph, limits: SearchLimits = SearchLimits()) -> PlannerResult:

@@ -17,12 +17,14 @@ ILP solvers, which both import this module.  Both also share one solve
 policy, ``_search_below_coordinator``: the coordinator plan is the
 incumbent, a count that meets the lower bound is returned as proven
 optimal with nothing searched, and otherwise the solver searches only
-for plans with fewer flights, keeping the incumbent when it finds none
-or runs out of budget.
+for plans with fewer flights, keeping the incumbent when it finds none.
+The policy holds the solve's one budget, ``_Effort``, and is the only
+place that handles its running out.
 """
 
 from __future__ import annotations
 
+import time
 from collections import Counter
 from collections.abc import Callable
 from itertools import chain
@@ -67,7 +69,7 @@ class SearchLimits(_SearchLimitsFields):
     ) -> SearchLimits:
         if max_nodes <= 0 or max_demands <= 0 or expansion_budget <= 0:
             raise ValueError("search limits must be positive")
-        if time_budget is not None and time_budget <= 0:
+        if time_budget is not None and not time_budget > 0:  # NaN included
             raise ValueError("search limits must be positive")
         return tuple.__new__(cls, (max_nodes, max_demands, expansion_budget, time_budget))
 
@@ -107,13 +109,6 @@ class PlannerResult(NamedTuple):
     def count(self) -> int:
         return self.plan.count
 
-    @property
-    def ratio(self) -> Fraction:
-        """``count / max(lower_bound, 1)``, kept exact."""
-        from fractions import Fraction
-
-        return Fraction(self.count, max(self.lower_bound, 1))
-
     def to_json(self) -> str:
         return canonical_dumps(self.to_json_dict())
 
@@ -152,11 +147,6 @@ def make_result(
     )
 
 
-def _degree(demands) -> Counter[int]:
-    """Total (in + out) degree of every endpoint of ``demands``."""
-    return Counter(chain.from_iterable(demands))
-
-
 def plan_singlehop(g: DemandGraph) -> PlannerResult:
     """One direct pigeon per demand; exactly ``|demands|`` pigeons.
 
@@ -181,7 +171,7 @@ def plan_coordinator(g: DemandGraph) -> PlannerResult:
     gather: list[Flight] = []
     scatter: list[Flight] = []
     for comp, demands in zip(partition.components, partition.demands):
-        degree = _degree(demands)
+        degree = Counter(chain.from_iterable(demands))  # in + out degree
         hub = min(comp, key=lambda v: (-degree[v], v))
         coordinators.append(hub)
         gather.extend(Flight(src, hub) for src in sorted({src for src, _ in demands} - {hub}))
@@ -212,12 +202,49 @@ def plan_cycle(g: DemandGraph) -> PlannerResult:
     return make_result(g, flights, "multihop", "cycle")
 
 
+class _BudgetExhausted(Exception):
+    """The solve's budget ran out.  ``plan`` holds the flights of a plan
+    below the cap found before it did, or None."""
+
+    def __init__(self, plan: list[Flight] | None = None):
+        super().__init__()
+        self.plan = plan
+
+
+class _Effort:
+    """The budget of one solve: expansions left and the deadline."""
+
+    def __init__(self, limits: SearchLimits):
+        self.remaining = limits.expansion_budget
+        self.deadline = (
+            None if limits.time_budget is None else time.monotonic() + limits.time_budget
+        )
+
+    def spend(self) -> None:
+        """Count one expansion; the clock is read every 1,024."""
+        self.remaining -= 1
+        if self.remaining < 0:
+            raise _BudgetExhausted
+        if self.deadline is not None and self.remaining % 1024 == 0:
+            if time.monotonic() > self.deadline:
+                raise _BudgetExhausted
+
+    def time_left(self) -> float | None:
+        """Seconds to the deadline, None without one; raises once it has passed."""
+        if self.deadline is None:
+            return None
+        left = self.deadline - time.monotonic()
+        if left <= 0:
+            raise _BudgetExhausted
+        return left
+
+
 def _search_below_coordinator(
     g: DemandGraph,
     mode: str,
     algorithm: str,
     limits: SearchLimits,
-    search: Callable[[DemandGraph, int, int], tuple[list[Flight] | None, bool]],
+    search: Callable[[DemandGraph, int, int, _Effort], list[Flight] | None],
 ) -> PlannerResult:
     """The solve policy of the exact and ILP planners.
 
@@ -227,10 +254,12 @@ def _search_below_coordinator(
     must connect all of them, so its bound is ``max(m - 1, |S|, |D|)``.
     Each part's incumbent is its coordinator plan.  When that meets the
     bound it is optimal and nothing is searched.  Otherwise
-    ``search(part, bound, cap)`` looks for a plan with at most
-    ``cap = count - 1`` flights and returns its flights, or None to keep
-    the incumbent, and whether that answer is proven: None and proven
-    means no such plan exists.  The result is proven when every part is.
+    ``search(part, bound, cap, effort)`` returns the flights of a plan
+    with at most ``cap = count - 1`` flights, or None when no such plan
+    exists, or raises ``_BudgetExhausted`` when the solve's one budget
+    ``effort`` runs out.  The part then keeps its incumbent, or the plan
+    the exception carries, unproven; later parts are still searched with
+    what is left.  The result is proven when every part is.
     """
     partition = weakly_connected_components(g)
     if mode == "twohop":
@@ -240,6 +269,7 @@ def _search_below_coordinator(
             (DemandGraph(g.n, demands), len(comp), "component")
             for comp, demands in zip(partition.components, partition.demands)
         ]
+    effort = _Effort(limits)
     flights: list[Flight] = []
     proven = True
     for part, nodes, scope in parts:
@@ -251,8 +281,11 @@ def _search_below_coordinator(
             bound = max(nodes - 1, incumbent.lower_bound)
         found = None
         if incumbent.count > bound:
-            found, part_proven = search(part, bound, incumbent.count - 1)
-            proven = proven and part_proven
+            try:
+                found = search(part, bound, incumbent.count - 1, effort)
+            except _BudgetExhausted as exhausted:
+                found = exhausted.plan
+                proven = False
         flights.extend(incumbent.plan.flights if found is None else found)
     return make_result(g, flights, mode, algorithm, proven_optimal=proven)
 
@@ -268,18 +301,11 @@ class ComponentSaving(NamedTuple):
 
 
 class ApproximationReport(NamedTuple):
-    """Actual count against the universal lower bound.
-
-    ``nominal_bound`` is the closed-form ``|S| + |D| - sum of component
-    max degrees``; it is reported for reference only and never asserted,
-    because the coordinator's realized saving per component is the hub's
-    source/destination membership (at most 2), not the hub's degree.
-    """
+    """Actual count against the universal lower bound."""
 
     count: int
     lower_bound: int
     ratio: Fraction
-    nominal_bound: int
     per_component: tuple[ComponentSaving, ...]
 
     def to_json_dict(self) -> dict:
@@ -287,40 +313,32 @@ class ApproximationReport(NamedTuple):
             "count": self.count,
             "lower_bound": self.lower_bound,
             "ratio": f"{self.ratio.numerator}/{self.ratio.denominator}",
-            "nominal_bound": self.nominal_bound,
-            "per_component": [
-                {
-                    "nodes": list(c.nodes),
-                    "sources": c.sources,
-                    "destinations": c.destinations,
-                    "pigeons": c.pigeons,
-                    "saving": c.saving,
-                }
-                for c in self.per_component
-            ],
+            "per_component": [c._asdict() for c in self.per_component],
         }
 
 
 def approximation_report(g: DemandGraph, result: PlannerResult) -> ApproximationReport:
-    """Compare a planner result against the lower bound, per component."""
+    """Compare a planner result against the lower bound, per component.
+
+    A flight counts for the component of its ``remote`` node.
+    """
     from fractions import Fraction
 
     partition = weakly_connected_components(g)
+    label = {v: index for index, comp in enumerate(partition.components) for v in comp}
+    used = Counter(label.get(f.remote) for f in result.plan.flights)
     bound = _endpoint_bound(g.demands)  # lower_bound(g).overall
-    nominal = 0
     per_component: list[ComponentSaving] = []
-    for comp, demands in zip(partition.components, partition.demands):
+    for index, (comp, demands) in enumerate(zip(partition.components, partition.demands)):
         sources = len({src for src, _ in demands})
         destinations = len({dst for _, dst in demands})
-        used = sum(1 for f in result.plan.flights if f.remote in comp)
-        nominal += sources + destinations - max(_degree(demands).values())
         per_component.append(
             ComponentSaving(
                 nodes=tuple(sorted(comp)),
                 sources=sources,
                 destinations=destinations,
-                pigeons=used,
-                saving=sources + destinations - used,
+                pigeons=used[index],
+                saving=sources + destinations - used[index],
             )
         )
 
@@ -328,6 +346,5 @@ def approximation_report(g: DemandGraph, result: PlannerResult) -> Approximation
         count=result.count,
         lower_bound=bound,
         ratio=Fraction(result.count, max(bound, 1)),
-        nominal_bound=nominal,
         per_component=tuple(per_component),
     )

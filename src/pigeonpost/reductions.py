@@ -29,7 +29,12 @@ import json
 from itertools import combinations
 from typing import NamedTuple
 
-from .demand import MAX_PARSED_NODES, DemandGraph, DemandGraphSizeError
+from .demand import (
+    MAX_PARSED_NODES,
+    DemandGraph,
+    DemandGraphSizeError,
+    weakly_connected_components,
+)
 from .flightplan import Flight, FlightPlan
 from .jsonutil import canonical_dumps
 
@@ -162,19 +167,8 @@ class UndirectedGraph(_UndirectedGraphFields):
         """True when all n nodes form a single component."""
         if self.n <= 1:
             return True
-        adjacency: dict[int, set[int]] = {v: set() for v in range(self.n)}
-        for u, v in self.edges:
-            adjacency[u].add(v)
-            adjacency[v].add(u)
-        seen = {0}
-        stack = [0]
-        while stack:
-            node = stack.pop()
-            for other in adjacency[node]:
-                if other not in seen:
-                    seen.add(other)
-                    stack.append(other)
-        return len(seen) == self.n
+        components = weakly_connected_components(DemandGraph(self.n, self.edges)).components
+        return len(components) == 1 and len(components[0]) == self.n
 
 
 def parse_undirected_graph(text: str) -> UndirectedGraph:
@@ -185,7 +179,7 @@ def parse_undirected_graph(text: str) -> UndirectedGraph:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, or an int over 4,300 digits
         raise ReductionError(f"malformed JSON: {exc}") from exc
     if not isinstance(doc, dict) or "n" not in doc or "edges" not in doc:
         raise ReductionError('graph document needs "n" and "edges"')
@@ -209,9 +203,6 @@ class ReductionOutput(NamedTuple):
     forced_edges: tuple[tuple[int, int], ...] = ()
     meta: tuple[tuple[str, int], ...] = ()
 
-    def role_of(self, node: int) -> dict:
-        return self.roles[node]
-
     def to_json(self) -> str:
         return canonical_dumps(self.to_json_dict())
 
@@ -233,6 +224,12 @@ def _literal_node(num_clauses: int, num_vars: int, literal: int) -> int:
     var = abs(literal) - 1
     offset = 0 if literal > 0 else num_vars
     return num_clauses + offset + var
+
+
+def _arm_nodes(base: int, arms: int, edge_idx: int, arm: int) -> tuple[int, int, int]:
+    """Nodes ``u1, u2, u3`` of gadget arm ``arm`` (1-based) of forced edge ``edge_idx``."""
+    u1 = base + (edge_idx * arms + (arm - 1)) * 3
+    return u1, u1 + 1, u1 + 2
 
 
 def reduce_3sat_to_twohop(formula: CnfFormula) -> ReductionOutput:
@@ -299,8 +296,7 @@ def reduce_3sat_to_twohop(formula: CnfFormula) -> ReductionOutput:
 
     for edge_idx, (a, b) in enumerate(forced):
         for arm in range(1, arms + 1):
-            u1 = base + (edge_idx * arms + (arm - 1)) * 3
-            u2, u3 = u1 + 1, u1 + 2
+            u1, u2, u3 = _arm_nodes(base, arms, edge_idx, arm)
             demands.update(
                 [(u1, u2), (u1, u3), (u2, u3), (u2, a), (u3, a), (u3, b)]
             )
@@ -316,10 +312,10 @@ def reduce_3sat_to_twohop(formula: CnfFormula) -> ReductionOutput:
                 )
 
     budget = 12 * n * n + 18 * n * m + 27 * n + 39 * m
-    roles.sort(key=lambda r: r["node"])
+    # The roles were appended in node order.
     return ReductionOutput(
         kind="3sat-to-twohop",
-        graph=DemandGraph.from_pairs(total_nodes, demands),
+        graph=DemandGraph(total_nodes, frozenset(demands)),
         budget=budget,
         roles=tuple(roles),
         forced_edges=tuple(forced),
@@ -356,16 +352,11 @@ def satisfying_assignment_plan(
     arms = meta[ARMS_PER_EDGE]
     base = star + 1
 
-    def arm_nodes(edge_idx: int, arm: int) -> tuple[int, int, int]:
-        u1 = base + (edge_idx * arms + (arm - 1)) * 3
-        return u1, u1 + 1, u1 + 2
-
     flights: list[Flight] = []
     for hop in range(3):
         for edge_idx, (a, _b) in enumerate(reduction.forced_edges):
             for arm in range(1, arms + 1):
-                u1, u2, u3 = arm_nodes(edge_idx, arm)
-                chain = (u1, u2, u3, a)
+                chain = (*_arm_nodes(base, arms, edge_idx, arm), a)
                 flights.append(Flight(chain[hop], chain[hop + 1]))
     for clause_idx, clause in enumerate(formula.clauses):
         for literal in clause:
@@ -394,7 +385,7 @@ def reduce_vertex_cover_to_multihop(g: UndirectedGraph, k: int) -> ReductionOutp
     roles = tuple({"node": v, "role": "original"} for v in range(g.n))
     return ReductionOutput(
         kind="vc-to-multihop",
-        graph=DemandGraph.from_pairs(g.n, demands),
+        graph=DemandGraph(g.n, frozenset(demands)),
         budget=g.n + k - 1,
         roles=roles,
         meta=(("cover_budget", k),),

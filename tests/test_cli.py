@@ -233,7 +233,13 @@ def test_ilp_over_size_limit_exits_two(tmp_path, capsys, mode):
 @pytest.mark.parametrize("algorithm", ["exact", "ilp"])
 @pytest.mark.parametrize(
     "flag, value",
-    [("--budget", "0"), ("--max-nodes", "0"), ("--max-demands", "0"), ("--time-budget", "-1")],
+    [
+        ("--budget", "0"),
+        ("--max-nodes", "0"),
+        ("--max-demands", "0"),
+        ("--time-budget", "-1"),
+        ("--time-budget", "nan"),  # NaN compares false, so it would disable the deadline
+    ],
 )
 def test_limit_flag_out_of_range_exits_two(demo_file, capsys, algorithm, flag, value):
     code = main(["solve", demo_file, "--mode", "twohop", "--algorithm", algorithm, flag, value])
@@ -324,3 +330,56 @@ def test_generated_and_undirected_graphs_at_the_node_cap(capsys):
     code, out = run(capsys, "gen", "cycle", "--n", "65536")
     assert code == 0 and json.loads(out)["n"] == 65_536
     assert parse_undirected_graph('{"n": 65536, "edges": [[0, 1]]}').n == 65_536
+
+
+def test_ilp_budget_above_highs_32_bit_node_limit(tmp_path, capsys):
+    pytest.importorskip("scipy")
+    path = tmp_path / "cycle4.json"
+    path.write_text(cycle_graph(4).to_json())  # incumbent 6 over bound 4: HiGHS runs
+    code, out = run(capsys, "solve", str(path), "--mode", "multihop", "--algorithm", "ilp",
+                    "--budget", str(2**31))
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["count"], doc["proven_optimal"]) == (4, True)
+
+
+@pytest.mark.parametrize("flights", ["5", "null"])
+def test_verify_non_list_flights_exits_three(demo_file, tmp_path, capsys, flights):
+    plan = tmp_path / "plan.json"
+    plan.write_text(f'{{"flights": {flights}}}')
+    code = main(["verify", demo_file, str(plan), "--mode", "twohop"])
+    assert code == 3
+    assert_one_error_line(capsys.readouterr())
+
+
+@pytest.mark.parametrize(
+    "argv", [["bounds", "{path}"], ["reduce", "3sat-to-twohop", "{path}"]], ids=["bounds", "reduce"]
+)
+def test_non_utf8_input_exits_three(tmp_path, capsys, argv):
+    path = tmp_path / "input"
+    path.write_bytes(b"\xff\xfe" + "p cnf 1 0\n".encode("utf-16-le"))
+    code = main([arg.format(path=path) for arg in argv])
+    assert code == 3
+    assert_one_error_line(capsys.readouterr())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "{path}"],
+        ["verify", "{demo}", "{path}", "--mode", "multihop"],
+        ["reduce", "vc-to-multihop", "{path}", "--k", "1"],
+    ],
+    ids=["bounds", "verify", "reduce"],
+)
+@pytest.mark.parametrize(
+    "text",
+    ["[" * 200_000, '{"n": ' + "1" * 5000 + ', "demands": [], "edges": [], "flights": []}'],
+    ids=["nested-200000-deep", "int-of-5000-digits"],
+)
+def test_json_the_decoder_refuses_exits_three(demo_file, tmp_path, capsys, argv, text):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    code = main([arg.format(path=path, demo=demo_file) for arg in argv])
+    assert code == 3
+    assert_one_error_line(capsys.readouterr())

@@ -44,10 +44,9 @@ def test_parse_rejects_invalid(text):
 def test_duplicates_are_dropped_and_counted():
     g = DemandGraph.from_pairs(3, [(0, 1), (0, 1), (1, 2), (0, 1)])
     assert g.demands == {(0, 1), (1, 2)}
-    assert g.duplicates_dropped == 2
 
 
-def test_equality_and_hash_ignore_duplicates_dropped():
+def test_duplicate_pairs_give_an_equal_graph_and_hash():
     g = DemandGraph.from_pairs(3, [(0, 1), (0, 1)])
     h = DemandGraph(3, frozenset({(0, 1)}))
     assert g == h and not g != h and hash(g) == hash(h)

@@ -226,6 +226,16 @@ def test_multihop_expansion_count_is_pinned(g, budget):
     assert fallback.plan == coordinator
 
 
+def test_multihop_time_budget_falls_back_to_coordinator_plan():
+    # Proving this graph takes 4,163 expansions (pinned above), and the
+    # clock is read at least every 1,024, so a deadline already passed
+    # stops the search first.
+    g = random_graph(7, 0.6, seed=1)
+    result = optimal_multihop(g, SearchLimits(time_budget=1e-9))
+    assert not result.proven_optimal
+    assert result.plan == plan_coordinator(g).plan
+
+
 def test_twohop_path_demands_direct_is_optimal():
     g = DemandGraph.from_pairs(3, [(0, 1), (1, 2)])
     result = optimal_twohop(g)

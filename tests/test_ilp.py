@@ -188,6 +188,25 @@ def solved(monkeypatch):
     return calls
 
 
+def test_highs_calls_share_the_solve_deadline(monkeypatch):
+    # Two 4-cycles: each component's incumbent (6 flights) is above its
+    # bound (4), so HiGHS runs once per component, each time with what is
+    # left of the solve's one time budget.
+    budgets = []
+
+    def recording(model, limits):
+        budgets.append(limits.time_budget)
+        return solve_binary_model(model, limits)
+
+    monkeypatch.setattr(ilp, "solve_binary_model", recording)
+    cycle = [(i, (i + 1) % 4) for i in range(4)]
+    g = DemandGraph.from_pairs(8, cycle + [(u + 4, v + 4) for u, v in cycle])
+    result = optimal_multihop_ilp(g, SearchLimits(time_budget=30))
+    assert (result.count, result.proven_optimal) == (8, True)
+    assert len(budgets) == 2
+    assert 30 >= budgets[0] > budgets[1]
+
+
 def _violated_rows(model: BinaryModel, values: dict[str, int]) -> list[str]:
     names = [v.name for v in model.variables]
     holds = {"<=": operator.le, ">=": operator.ge, "=": operator.eq}

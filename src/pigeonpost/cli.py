@@ -1,21 +1,29 @@
 """Command-line front end with stable JSON output.
 
 Exit codes: 0 success, 1 verification found unsatisfied demands, 2 bad
-usage, an instance outside the solver limits or a graph over
-``MAX_PARSED_NODES`` nodes (parsed, reduced or generated), 3 unparseable
-input, 4 budget exhausted under ``--strict``.
+usage, an instance outside the solver limits, a graph over
+``MAX_PARSED_NODES`` nodes (parsed, reduced or generated) or a ``gen
+random`` graph expected to have over ``2 * MAX_PARSED_NODES`` demands,
+3 unparseable input, 4 budget exhausted under ``--strict``.
+
+Run as ``python -m pigeonpost.cli``, the process pauses the cyclic
+garbage collector: it exits after one command, and the collector would
+only walk the parsed and emitted documents again and again.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib.util
 import sys
+from typing import TYPE_CHECKING
 
-# The solver back ends (exact, ilp), the reductions and the generators are
-# imported inside the commands that use them, so the other commands do not
-# pay for compiling and loading them.  Their errors are turned into exit
-# codes where they are imported.
+# Every module but demand and jsonutil is imported inside the commands that
+# use it, so the other commands do not pay for compiling and loading it:
+# bounds and gen load neither flightplan nor planners, and verify does not
+# load planners.  The errors of such a module are turned into exit codes
+# where it is imported.
 from .demand import (
     MAX_PARSED_NODES,
     DemandGraphError,
@@ -23,23 +31,21 @@ from .demand import (
     lower_bound,
     parse_demand_graph,
 )
-from .flightplan import FlightPlanError, parse_flight_plan, verify
 from .jsonutil import canonical_dumps
-from .planners import (
-    SearchLimitError,
-    SearchLimits,
-    plan_coordinator,
-    plan_cycle,
-    plan_singlehop,
-)
+
+if TYPE_CHECKING:
+    from .planners import SearchLimits
+
+# ``gen random`` draws one number per ordered node pair and keeps every
+# demand; it refuses a graph expected to have more demands than the
+# largest 3-CNF reduction under ``MAX_PARSED_NODES`` (about two per node).
+_MAX_RANDOM_DEMANDS = 2 * MAX_PARSED_NODES
 
 EXIT_OK = 0
 EXIT_UNSATISFIED = 1
 EXIT_USAGE = 2
 EXIT_PARSE = 3
 EXIT_BUDGET = 4
-
-_PARSE_ERRORS = (DemandGraphError, FlightPlanError)
 
 # Which algorithms can honor which routing regime.  The cycle plan only
 # verifies under multihop; coordinator plans verify under both relayed
@@ -68,6 +74,8 @@ def _write(path: str, text: str) -> None:
 
 def _limits(args: argparse.Namespace) -> SearchLimits:
     """``SearchLimits`` from the limit flags that were given."""
+    from .planners import SearchLimits
+
     flags = {
         "max_nodes": args.max_nodes,
         "max_demands": args.max_demands,
@@ -94,6 +102,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
+    from .planners import SearchLimitError, plan_coordinator, plan_cycle, plan_singlehop
+
     graph = parse_demand_graph(_read(args.graph))
     if args.algorithm == "direct":
         result = plan_singlehop(graph)
@@ -128,9 +138,15 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .flightplan import FlightPlanError, parse_flight_plan, verify
+
     graph = parse_demand_graph(_read(args.graph))
-    plan = parse_flight_plan(_read(args.plan))
-    report = verify(args.mode, graph, plan)
+    try:
+        plan = parse_flight_plan(_read(args.plan))
+        report = verify(args.mode, graph, plan)
+    except FlightPlanError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     _write(args.output, report.to_json())
     return EXIT_OK if report.satisfied else EXIT_UNSATISFIED
 
@@ -188,6 +204,11 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     if args.kind != "demo" and args.n > MAX_PARSED_NODES:
         print(f"error: --n {args.n} exceeds the limit of {MAX_PARSED_NODES} nodes",
               file=sys.stderr)
+        return EXIT_USAGE
+    expected = args.n * (args.n - 1) * args.p  # demands of a random graph
+    if args.kind == "random" and expected > _MAX_RANDOM_DEMANDS:
+        print(f"error: --n {args.n} --p {args.p} expects {expected:.0f} demands, "
+              f"over the limit of {_MAX_RANDOM_DEMANDS}", file=sys.stderr)
         return EXIT_USAGE
     try:
         if args.kind == "demo":
@@ -281,7 +302,7 @@ def main(argv=None) -> int:
     except DemandGraphSizeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except _PARSE_ERRORS as exc:
+    except DemandGraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (OSError, UnicodeDecodeError) as exc:
@@ -290,4 +311,5 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    gc.disable()
     sys.exit(main())

@@ -33,6 +33,17 @@ class DemandGraphSizeError(DemandGraphError):
     """Raised when a parsed graph has more than ``MAX_PARSED_NODES`` nodes."""
 
 
+def _check_node_count(n: int) -> None:
+    if n < 0:
+        raise DemandGraphError(f"node count must be non-negative, got {n}")
+
+
+def _demand_error(n: int, src: int, dst: int) -> DemandGraphError:
+    if src == dst:
+        return DemandGraphError(f"self-demand ({src}, {dst}) is not allowed")
+    return DemandGraphError(f"demand ({src}, {dst}) out of range for n={n}")
+
+
 class _DemandGraphFields(NamedTuple):
     n: int
     demands: frozenset[tuple[int, int]]
@@ -44,13 +55,10 @@ class DemandGraph(_DemandGraphFields):
     __slots__ = ()
 
     def __new__(cls, n: int, demands: frozenset[tuple[int, int]]) -> DemandGraph:
-        if n < 0:
-            raise DemandGraphError(f"node count must be non-negative, got {n}")
+        _check_node_count(n)
         for src, dst in demands:
-            if src == dst:
-                raise DemandGraphError(f"self-demand ({src}, {dst}) is not allowed")
-            if not (0 <= src < n and 0 <= dst < n):
-                raise DemandGraphError(f"demand ({src}, {dst}) out of range for n={n}")
+            if src == dst or not (0 <= src < n and 0 <= dst < n):
+                raise _demand_error(n, src, dst)
         return tuple.__new__(cls, (n, demands))
 
     @classmethod
@@ -59,7 +67,12 @@ class DemandGraph(_DemandGraphFields):
 
     @classmethod
     def from_pairs(cls, n: int, pairs) -> DemandGraph:
-        """Build a validated graph from (src, dst) pairs, dropping duplicates."""
+        """Build a validated graph from (src, dst) pairs, dropping duplicates.
+
+        Each pair is checked once, here, so the demands skip the walk of
+        ``__new__``.
+        """
+        _check_node_count(n)
         demands: set[tuple[int, int]] = set()
         for pair in pairs:
             if not isinstance(pair, (tuple, list)) or len(pair) != 2:
@@ -68,8 +81,10 @@ class DemandGraph(_DemandGraphFields):
             # Exact type: bool is an int subclass, so JSON true would pass as node 1.
             if type(src) is not int or type(dst) is not int:
                 raise DemandGraphError(f"demand endpoints must be integers: {pair!r}")
+            if src == dst or not (0 <= src < n and 0 <= dst < n):
+                raise _demand_error(n, src, dst)
             demands.add((src, dst))
-        return cls(n=n, demands=frozenset(demands))
+        return tuple.__new__(cls, (n, frozenset(demands)))
 
     def sorted_demands(self) -> list[tuple[int, int]]:
         return sorted(self.demands)
@@ -78,7 +93,7 @@ class DemandGraph(_DemandGraphFields):
         return canonical_dumps(self.to_json_dict())
 
     def to_json_dict(self) -> dict:
-        return {"n": self.n, "demands": [list(d) for d in self.sorted_demands()]}
+        return {"n": self.n, "demands": self.sorted_demands()}
 
 
 def parse_demand_graph(text: str) -> DemandGraph:

@@ -130,7 +130,7 @@ class PathWitness(NamedTuple):
     nodes: tuple[int, ...]
 
     def to_json_dict(self) -> dict:
-        return {"kind": "path", "slots": list(self.slots), "nodes": list(self.nodes)}
+        return {"kind": "path", "slots": self.slots, "nodes": self.nodes}
 
 
 Witness = DirectWitness | RelayWitness | PathWitness
@@ -154,16 +154,15 @@ class VerificationReport(NamedTuple):
         return canonical_dumps(self.to_json_dict())
 
     def to_json_dict(self) -> dict:
-        demands = []
-        for (src, dst), witness in sorted(self.witnesses.items()):
-            demands.append(
-                {
-                    "src": src,
-                    "dst": dst,
-                    "served": witness is not None,
-                    "witness": None if witness is None else witness.to_json_dict(),
-                }
-            )
+        demands = [
+            {
+                "src": src,
+                "dst": dst,
+                "served": witness is not None,
+                "witness": None if witness is None else witness.to_json_dict(),
+            }
+            for (src, dst), witness in sorted(self.witnesses.items())
+        ]
         return {
             "mode": self.mode,
             "pigeons": self.pigeon_count,

@@ -308,14 +308,6 @@ class ApproximationReport(NamedTuple):
     ratio: Fraction
     per_component: tuple[ComponentSaving, ...]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "lower_bound": self.lower_bound,
-            "ratio": f"{self.ratio.numerator}/{self.ratio.denominator}",
-            "per_component": [c._asdict() for c in self.per_component],
-        }
-
 
 def approximation_report(g: DemandGraph, result: PlannerResult) -> ApproximationReport:
     """Compare a planner result against the lower bound, per component.

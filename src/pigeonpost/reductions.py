@@ -211,8 +211,8 @@ class ReductionOutput(NamedTuple):
             "kind": self.kind,
             "budget": self.budget,
             "graph": self.graph.to_json_dict(),
-            "forced_edges": [list(e) for e in self.forced_edges],
-            "roles": list(self.roles),
+            "forced_edges": self.forced_edges,
+            "roles": self.roles,
             "meta": dict(self.meta),
         }
 

@@ -1,8 +1,10 @@
+import gc
 import json
 import sys
 
 import pytest
 
+from pigeonpost import cli
 from pigeonpost.cli import main
 from pigeonpost.instances import cycle_graph, demo_graph
 from pigeonpost.reductions import parse_undirected_graph
@@ -214,6 +216,12 @@ def test_identical_invocations_are_byte_identical(demo_file, capsys):
     assert first == second
 
 
+def test_main_leaves_the_garbage_collector_on(demo_file, capsys):
+    # Only the ``python -m pigeonpost.cli`` entry pauses it, for its one command.
+    assert run(capsys, "bounds", demo_file)[0] == 0
+    assert gc.isenabled()
+
+
 def test_usage_error_exits_two(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["solve"])  # missing required flags
@@ -303,6 +311,26 @@ def test_refused_input_exits_two(tmp_path, capsys, argv, text):
     code = main([arg.format(path=path) for arg in argv])
     assert code == 2
     assert_one_error_line(capsys.readouterr())
+
+
+def test_gen_random_over_the_demand_cap_exits_two(capsys):
+    # 4,000 nodes at p = 0.3 expect 4.8 million demands; refused before any draw.
+    code = main(["gen", "random", "--n", "4000", "--p", "0.3"])
+    assert code == 2
+    assert_one_error_line(capsys.readouterr())
+
+
+@pytest.mark.parametrize("p, expected", [(0.9, 0), (0.95, 2)])
+def test_gen_random_demand_cap_boundary(capsys, monkeypatch, p, expected):
+    # 11 nodes expect 110 p demands: 99 are allowed under a cap of 100, 104.5 are not.
+    monkeypatch.setattr(cli, "_MAX_RANDOM_DEMANDS", 100)
+    code = main(["gen", "random", "--n", "11", "--p", str(p)])
+    assert code == expected
+    captured = capsys.readouterr()
+    if expected:
+        assert_one_error_line(captured)
+    else:
+        assert json.loads(captured.out)["n"] == 11
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,7 @@
 """Which pigeonpost modules a fresh interpreter loads, and the lazy package names.
 
-The CLI imports the solver back ends, the reductions and the generators
-inside the commands that use them, and ``pigeonpost`` resolves its public
+The CLI imports every module but ``demand`` and ``jsonutil`` inside the
+commands that use it, and ``pigeonpost`` resolves its public
 names on first access; each check runs in a new interpreter so modules
 loaded by other tests cannot hide an eager import.
 """
@@ -95,6 +95,27 @@ def test_commands_without_a_solver_load_no_solver_module(files, argv):
     code, modules = cli_modules(*(arg.format(**files) for arg in argv))
     assert code == 0
     assert not modules & SOLVER_MODULES, sorted(modules & SOLVER_MODULES)
+
+
+PLAN_MODULES = {"pigeonpost.flightplan", "pigeonpost.planners"}
+
+
+@pytest.mark.parametrize(
+    "argv, unused",
+    [
+        (("gen", "demo"), PLAN_MODULES),
+        (("gen", "random", "--n", "8"), PLAN_MODULES),
+        (("bounds", "{graph}"), PLAN_MODULES),
+        (("verify", "{graph}", "{plan}", "--mode", "multihop"), {"pigeonpost.planners"}),
+    ],
+    ids=["gen", "gen-random", "bounds", "verify"],
+)
+def test_commands_load_no_module_they_do_not_use(files, argv, unused):
+    # Each module compiles from source in a process that writes no .pyc
+    # files, which takes a few milliseconds for flightplan and planners.
+    code, modules = cli_modules(*(arg.format(**files) for arg in argv))
+    assert code == 0
+    assert not modules & unused, sorted(modules & unused)
 
 
 # Runs pigeonpost.cli.main on each argv of a JSON list, then prints which

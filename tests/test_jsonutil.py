@@ -27,6 +27,32 @@ scalars = st.one_of(
     st.floats(),  # includes -0.0, the infinities and nan
     texts,
 )
+# Keys with the characters that a % template or a JSON string treats
+# specially, and arbitrary text.
+keys = st.text(st.sampled_from('%"\\sd\x00\xe9'), max_size=3) | texts
+
+
+def record_lists(inner):
+    """Up to 40 records of one shape: the encoder's columnar path."""
+    return st.lists(keys, max_size=5, unique=True).flatmap(
+        lambda names: st.lists(st.fixed_dictionaries({name: inner for name in names}), max_size=40)
+    )
+
+
+def mixed_lists(inner):
+    """Records of 2 or 3 shapes among scalars and tuples."""
+    return st.lists(st.lists(keys, max_size=4, unique=True), min_size=2, max_size=3).flatmap(
+        lambda shapes: st.lists(
+            st.one_of(
+                *(st.fixed_dictionaries({name: inner for name in names}) for names in shapes),
+                scalars,
+                st.lists(inner, max_size=3).map(tuple),
+            ),
+            max_size=30,
+        )
+    )
+
+
 values = st.recursive(
     scalars,
     lambda inner: st.one_of(
@@ -37,8 +63,14 @@ values = st.recursive(
             st.dictionaries(key, inner, max_size=4)
             for key in (texts, st.integers(), st.floats(), st.booleans(), st.none())
         ),
+        record_lists(inner),
+        mixed_lists(inner),
+        # Same-length arrays, which share a template.
+        st.integers(0, 3).flatmap(
+            lambda size: st.lists(st.lists(inner, min_size=size, max_size=size), max_size=12)
+        ),
     ),
-    max_leaves=20,
+    max_leaves=60,
 )
 
 
@@ -48,6 +80,10 @@ values = st.recursive(
 @example({"": {}, "a": [], "b": [[], {}, ()], "c": [{"d": [1, [2, {"e": None}]]}]})
 @example({10: "ten", 9: "nine", -1: True})
 @example(2**1000)
+# Equal keys of different text share a key tuple.
+@example([{1: 0}, {True: 0}, {1.0: 0}, {0.0: [1]}, {-0.0: [1]}, {False: 2}])
+@example([{"%s": 1, '"%d"': [2, 3]}, {"%s": "%", '"%d"': (4, 5)}, {"%%": None}])
+@example([[1, 2], (3, 4), [5, 6, 7], [], [True, None], ["a", 1.5]])
 def test_canonical_dumps_matches_json_dumps(value):
     assert canonical_dumps(value) == reference(value)
 
@@ -64,3 +100,11 @@ class _Int(int):
 def test_unsupported_type_raises_type_error(value):
     with pytest.raises(TypeError):
         canonical_dumps(value)
+
+
+@pytest.mark.parametrize("deep", [Fraction(1, 2), _Int(7), {1, 2}, {(0, 1): 2}])
+def test_unsupported_value_deep_in_a_column_of_records_raises_type_error(deep):
+    rows = [{"id": i, "path": {"nodes": [i, i + 1], "tags": {"k": [i]}}} for i in range(40)]
+    rows[27]["path"]["tags"]["k"][0] = deep
+    with pytest.raises(TypeError):
+        canonical_dumps(rows)

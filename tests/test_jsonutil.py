@@ -27,8 +27,8 @@ scalars = st.one_of(
     st.floats(),  # includes -0.0, the infinities and nan
     texts,
 )
-# Keys with the characters that a % template or a JSON string treats
-# specially, and arbitrary text.
+# Keys with the characters that printf-style formatting or a JSON string
+# treats specially, and arbitrary text.
 keys = st.text(st.sampled_from('%"\\sd\x00\xe9'), max_size=3) | texts
 
 
@@ -65,7 +65,7 @@ values = st.recursive(
         ),
         record_lists(inner),
         mixed_lists(inner),
-        # Same-length arrays, which share a template.
+        # Same-length arrays, which share a shape.
         st.integers(0, 3).flatmap(
             lambda size: st.lists(st.lists(inner, min_size=size, max_size=size), max_size=12)
         ),
@@ -80,7 +80,7 @@ values = st.recursive(
 @example({"": {}, "a": [], "b": [[], {}, ()], "c": [{"d": [1, [2, {"e": None}]]}]})
 @example({10: "ten", 9: "nine", -1: True})
 @example(2**1000)
-# Equal keys of different text share a key tuple.
+# Equal keys of different text: 1, 1.0 and True; 0.0 and -0.0.
 @example([{1: 0}, {True: 0}, {1.0: 0}, {0.0: [1]}, {-0.0: [1]}, {False: 2}])
 @example([{"%s": 1, '"%d"': [2, 3]}, {"%s": "%", '"%d"': (4, 5)}, {"%%": None}])
 @example([[1, 2], (3, 4), [5, 6, 7], [], [True, None], ["a", 1.5]])

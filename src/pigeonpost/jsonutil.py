@@ -111,7 +111,7 @@ def _shape(label, dicts: list, newline: str) -> list[str]:
 
 
 def _same_keys(keys: tuple, dicts: list, newline: str) -> list[str]:
-    """Texts of ``dicts``, whose key tuples all equal ``keys``."""
+    """Texts of ``dicts``, whose key sets all equal that of ``keys``."""
     if len(dicts) > 1 and any(type(key) is not str for key in keys):
         # Equal keys can differ in text (1, 1.0 and True; 0.0 and -0.0),
         # but not in repr.
@@ -137,6 +137,11 @@ def _typed(kind: type, values: list, newline: str) -> Iterable[str]:
     if scalar is not None:
         return map(scalar, values)  # read once, by the container's join
     if kind is dict:
+        # Records mostly share one key set; a key tuple per dict is built
+        # only when they do not.
+        keys = values[0].keys()
+        if all(map(keys.__eq__, map(dict.keys, values))):
+            return _same_keys(tuple(keys), values, newline)
         return _grouped(values, list(map(tuple, values)), _same_keys, newline)
     if kind is list or kind is tuple:
         return _grouped(values, list(map(len, values)), _same_length, newline)

@@ -154,6 +154,9 @@ class VerificationReport(NamedTuple):
         return canonical_dumps(self.to_json_dict())
 
     def to_json_dict(self) -> dict:
+        witnesses = self.witnesses
+        # Pairs of ints sort about three times faster than the items.
+        pairs = sorted(witnesses)
         demands = [
             {
                 "src": src,
@@ -161,7 +164,7 @@ class VerificationReport(NamedTuple):
                 "served": witness is not None,
                 "witness": None if witness is None else witness.to_json_dict(),
             }
-            for (src, dst), witness in sorted(self.witnesses.items())
+            for (src, dst), witness in zip(pairs, map(witnesses.__getitem__, pairs))
         ]
         return {
             "mode": self.mode,

@@ -1,7 +1,8 @@
 """Command-line front end with stable JSON output.
 
 Exit codes: 0 success, 1 verification found unsatisfied demands, 2 bad
-usage, an instance outside the solver limits, a graph over
+usage, an instance outside the solver limits (``solve --algorithm
+exact|ilp`` and ``export-lp``), a graph over
 ``MAX_PARSED_NODES`` nodes (parsed, reduced or generated) or a ``gen
 random`` graph expected to have over ``2 * MAX_PARSED_NODES`` demands,
 3 unparseable input, 4 budget exhausted under ``--strict``.
@@ -30,6 +31,7 @@ from .demand import (
     DemandGraphSizeError,
     lower_bound,
     parse_demand_graph,
+    weakly_connected_components,
 )
 from .jsonutil import canonical_dumps
 
@@ -186,12 +188,15 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 
 def _cmd_export_lp(args: argparse.Namespace) -> int:
     from .ilp import ModelError, build_multihop_model, build_twohop_model, export_lp
+    from .planners import SearchLimitError, SearchLimits, _checked_parts
 
     graph = parse_demand_graph(_read(args.graph))
     builder = build_twohop_model if args.mode == "twohop" else build_multihop_model
     try:
+        # The size limits of ``solve --algorithm ilp``: a model has about n^4 variables.
+        _checked_parts(graph, weakly_connected_components(graph), args.mode, SearchLimits())
         model = builder(graph)
-    except ModelError as exc:  # a multihop model covers one component
+    except (ModelError, SearchLimitError) as exc:  # a multihop model covers one component
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     _write(args.output, export_lp(model))
@@ -233,7 +238,9 @@ def _add_limit_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--budget", type=int,
                         help="node-expansion budget for exact searches; "
                              "under --algorithm ilp also HiGHS's node limit")
-    parser.add_argument("--time-budget", type=float, default=None, metavar="SECONDS")
+    parser.add_argument("--time-budget", type=float, metavar="SECONDS",
+                        help="wall-clock limit of one exact or ilp solve (default 60; "
+                             "inf for none)")
 
 
 def build_parser() -> argparse.ArgumentParser:

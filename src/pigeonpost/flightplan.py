@@ -288,13 +288,6 @@ class PlanStats(NamedTuple):
     def released_at(self, node: int) -> int:
         return dict(self.release_counts).get(node, 0)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "pigeons": self.pigeon_count,
-            "breeding": {str(v): c for v, c in self.breeding_counts},
-            "releases": {str(v): c for v, c in self.release_counts},
-        }
-
 
 def plan_stats(plan: FlightPlan) -> PlanStats:
     """Pigeon count plus per-node breeding and release tallies."""

@@ -340,9 +340,10 @@ def solve_binary_model(model: BinaryModel, limits: SearchLimits = SearchLimits()
     if nrows:
         matrix = sparse.csr_matrix((data, (rows, cols)), shape=(nrows, nvars))
         constraints = LinearConstraint(matrix, np.array(lower), np.array(upper))
-    options: dict = {"node_limit": min(limits.expansion_budget, 2**31 - 1)}
-    if limits.time_budget is not None:
-        options["time_limit"] = limits.time_budget
+    options = {
+        "node_limit": min(limits.expansion_budget, 2**31 - 1),
+        "time_limit": limits.time_budget,
+    }
     result = milp(
         c=cost,
         constraints=constraints,
@@ -410,11 +411,14 @@ def _format_terms(terms, names: list[str]) -> list[str]:
     return chunks
 
 
-def _wrap(prefix: str, chunks: list[str], width: int = 72) -> list[str]:
+_LP_WIDTH = 72  # export_lp starts a new line before a row's line grows past this
+
+
+def _wrap(prefix: str, chunks: list[str]) -> list[str]:
     lines = [prefix]
     for chunk in chunks:
         candidate = f"{lines[-1]} {chunk}"
-        if len(candidate) > width and lines[-1] != prefix and lines[-1].strip():
+        if len(candidate) > _LP_WIDTH and lines[-1] != prefix and lines[-1].strip():
             lines.append(f"   {chunk}")
         else:
             lines[-1] = candidate

@@ -1,11 +1,13 @@
 """Canonical JSON serialization shared by all emitters (golden-file safe).
 
-Contract: for a value built from ``dict``, ``list``, ``tuple``, ``str``,
-``int``, ``float``, ``bool`` and ``None``, ``canonical_dumps(v)`` returns
-the same text as ``json.dumps(v, sort_keys=True, indent=2,
-separators=(",", ": ")) + "\\n"``, byte for byte.  Dispatch is on the exact
-type, so any other type, a subclass of one of those eight included,
-raises ``TypeError``.  A value that contains itself is not supported:
+Contract: for a value built from ``dict`` with ``str`` keys, ``list``,
+``tuple``, ``str``, ``int``, ``float``, ``bool`` and ``None``,
+``canonical_dumps(v)`` returns the same text as ``json.dumps(v,
+sort_keys=True, indent=2, separators=(",", ": ")) + "\\n"``, byte for
+byte.  Dispatch is on the exact type, so any other type, a subclass of
+one of those eight included, raises ``TypeError``; so does a key of any
+type but ``str``, although ``json.dumps`` would convert an int, float,
+bool or None key.  A value that contains itself is not supported:
 ``json.dumps`` raises ``ValueError`` for it, while this encoder recurses
 to the recursion limit, its memory growing level by level when the value
 contains itself more than once.
@@ -66,11 +68,6 @@ _SCALARS = {
     type(None): lambda value: "null",
 }
 
-# Exact key type -> the text json quotes for it: a key is sorted as it is,
-# then converted.
-_KEY_TEXT = {**_SCALARS, str: str}
-
-
 def _fill(pieces: list[str], containers: list, fields, inner: str) -> list[str]:
     """Per container: ``pieces[0]``, the text of its first field,
     ``pieces[1]``, ... ``pieces[-1]``, joined."""
@@ -93,10 +90,9 @@ def _same_length(length: int, arrays: list, newline: str) -> list[str]:
 
 
 def _key_text(key) -> str:
-    convert = _KEY_TEXT.get(type(key))
-    if convert is None:
-        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-    return _encode_str(convert(key))
+    if type(key) is not str:
+        raise TypeError(f"keys must be str, not {type(key).__name__}")
+    return _encode_str(key)
 
 
 def _shape(label, dicts: list, newline: str) -> list[str]:
@@ -108,15 +104,6 @@ def _shape(label, dicts: list, newline: str) -> list[str]:
     names = [inner + _key_text(key) + ": " for key in keys]
     pieces = ["{" + names[0], *["," + name for name in names[1:]], newline + "}"]
     return _fill(pieces, dicts, map(itemgetter, keys), inner)
-
-
-def _same_keys(keys: tuple, dicts: list, newline: str) -> list[str]:
-    """Texts of ``dicts``, whose key sets all equal that of ``keys``."""
-    if len(dicts) > 1 and any(type(key) is not str for key in keys):
-        # Equal keys can differ in text (1, 1.0 and True; 0.0 and -0.0),
-        # but not in repr.
-        return _grouped(dicts, list(map(tuple, map(map, repeat(repr), dicts))), _shape, newline)
-    return _shape(keys, dicts, newline)
 
 
 def _grouped(values: list, labels: list, encode, newline: str) -> Iterable[str]:
@@ -141,8 +128,8 @@ def _typed(kind: type, values: list, newline: str) -> Iterable[str]:
         # only when they do not.
         keys = values[0].keys()
         if all(map(keys.__eq__, map(dict.keys, values))):
-            return _same_keys(tuple(keys), values, newline)
-        return _grouped(values, list(map(tuple, values)), _same_keys, newline)
+            return _shape(None, values, newline)
+        return _grouped(values, list(map(tuple, values)), _shape, newline)
     if kind is list or kind is tuple:
         return _grouped(values, list(map(len, values)), _same_length, newline)
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")

@@ -18,8 +18,10 @@ policy, ``_search_below_coordinator``: the coordinator plan is the
 incumbent, a count that meets the lower bound is returned as proven
 optimal with nothing searched, and otherwise the solver searches only
 for plans with fewer flights, keeping the incumbent when it finds none.
-The policy holds the solve's one budget, ``_Effort``, and is the only
-place that handles its running out.
+The policy holds the solve's one budget, ``_Effort``: an expansion count
+and a deadline ``SearchLimits.time_budget`` seconds away, 60 by default
+and never absent (``math.inf`` for none).  It is the only place that
+handles the budget running out.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from itertools import chain
 from math import gcd
 from typing import TYPE_CHECKING, NamedTuple
 
-from .demand import DemandGraph, _endpoint_bound, weakly_connected_components
+from .demand import ComponentPartition, DemandGraph, _endpoint_bound, weakly_connected_components
 from .flightplan import Flight, FlightPlan
 from .jsonutil import canonical_dumps
 
@@ -47,7 +49,7 @@ class _SearchLimitsFields(NamedTuple):
     max_nodes: int
     max_demands: int
     expansion_budget: int
-    time_budget: float | None
+    time_budget: float
 
 
 class SearchLimits(_SearchLimitsFields):
@@ -55,7 +57,9 @@ class SearchLimits(_SearchLimitsFields):
 
     ``max_nodes`` bounds the whole graph for 2-hop and each component for
     multihop.  Budgets are soft: exceeding them degrades to a feasible
-    but unproven answer instead of failing.
+    but unproven answer instead of failing.  ``time_budget`` is the
+    seconds one solve may take, 60 by default; ``math.inf`` lets it run
+    until the expansion budget runs out.
     """
 
     __slots__ = ()
@@ -65,11 +69,10 @@ class SearchLimits(_SearchLimitsFields):
         max_nodes: int = 10,
         max_demands: int = 40,
         expansion_budget: int = 5_000_000,
-        time_budget: float | None = None,
+        time_budget: float = 60.0,
     ) -> SearchLimits:
-        if max_nodes <= 0 or max_demands <= 0 or expansion_budget <= 0:
-            raise ValueError("search limits must be positive")
-        if time_budget is not None and not time_budget > 0:  # NaN included
+        # Written so that NaN fails too; None raises TypeError.
+        if not (max_nodes > 0 and max_demands > 0 and expansion_budget > 0 and time_budget > 0):
             raise ValueError("search limits must be positive")
         return tuple.__new__(cls, (max_nodes, max_demands, expansion_budget, time_budget))
 
@@ -216,27 +219,41 @@ class _Effort:
 
     def __init__(self, limits: SearchLimits):
         self.remaining = limits.expansion_budget
-        self.deadline = (
-            None if limits.time_budget is None else time.monotonic() + limits.time_budget
-        )
+        self.deadline = time.monotonic() + limits.time_budget
 
     def spend(self) -> None:
         """Count one expansion; the clock is read every 1,024."""
         self.remaining -= 1
         if self.remaining < 0:
             raise _BudgetExhausted
-        if self.deadline is not None and self.remaining % 1024 == 0:
-            if time.monotonic() > self.deadline:
-                raise _BudgetExhausted
+        if self.remaining % 1024 == 0 and time.monotonic() > self.deadline:
+            raise _BudgetExhausted
 
-    def time_left(self) -> float | None:
-        """Seconds to the deadline, None without one; raises once it has passed."""
-        if self.deadline is None:
-            return None
+    def time_left(self) -> float:
+        """Seconds to the deadline; raises once it has passed."""
         left = self.deadline - time.monotonic()
         if left <= 0:
             raise _BudgetExhausted
         return left
+
+
+def _checked_parts(
+    g: DemandGraph, partition: ComponentPartition, mode: str, limits: SearchLimits
+) -> list[tuple[DemandGraph, int, str]]:
+    """The parts an optimal solve of ``g`` treats one by one, each with its
+    node count and scope: the whole graph for 2-hop, each weakly connected
+    component (of ``partition``) for multihop.  Raises ``SearchLimitError``
+    when a part is over ``limits``, before any part is searched."""
+    if mode == "twohop":
+        parts = [(g, g.n, "graph")]
+    else:
+        parts = [
+            (DemandGraph(g.n, demands), len(comp), "component")
+            for comp, demands in zip(partition.components, partition.demands)
+        ]
+    for part, nodes, scope in parts:
+        limits.check_size(nodes, len(part.demands), scope)
+    return parts
 
 
 def _search_below_coordinator(
@@ -252,8 +269,10 @@ def _search_below_coordinator(
     ``max(|S|, |D|)`` summed over the weakly connected components.  A
     multihop plan is solved per component of ``m`` nodes, whose flights
     must connect all of them, so its bound is ``max(m - 1, |S|, |D|)``.
-    Each part's incumbent is its coordinator plan.  When that meets the
-    bound it is optimal and nothing is searched.  Otherwise
+    The parts come from ``_checked_parts``, so a part over the size
+    limits is refused before any is searched; ``export-lp`` applies the
+    same check.  Each part's incumbent is its coordinator plan.  When
+    that meets the bound it is optimal and nothing is searched.  Otherwise
     ``search(part, bound, cap, effort)`` returns the flights of a plan
     with at most ``cap = count - 1`` flights, or None when no such plan
     exists, or raises ``_BudgetExhausted`` when the solve's one budget
@@ -262,18 +281,11 @@ def _search_below_coordinator(
     what is left.  The result is proven when every part is.
     """
     partition = weakly_connected_components(g)
-    if mode == "twohop":
-        parts = [(g, g.n, "graph")]
-    else:
-        parts = [
-            (DemandGraph(g.n, demands), len(comp), "component")
-            for comp, demands in zip(partition.components, partition.demands)
-        ]
+    parts = _checked_parts(g, partition, mode, limits)
     effort = _Effort(limits)
     flights: list[Flight] = []
     proven = True
-    for part, nodes, scope in parts:
-        limits.check_size(nodes, len(part.demands), scope)
+    for part, nodes, _scope in parts:
         incumbent = plan_coordinator(part)
         if mode == "twohop":
             bound = sum(map(_endpoint_bound, partition.demands))  # lower_bound(g).component_total

@@ -107,19 +107,17 @@ def parse_dimacs_cnf(text: str) -> CnfFormula:
     if num_vars is None:
         raise CnfError("missing problem line")
 
-    clauses: list[tuple[int, int, int]] = []
+    clauses: list[tuple[int, ...]] = []
     current: list[int] = []
     for tok in tokens:
         if tok == 0:
-            if len(current) != 3:
-                raise CnfError(f"clause {current} must have exactly three literals")
-            clauses.append((current[0], current[1], current[2]))
+            clauses.append(tuple(current))
             current = []
         else:
             current.append(tok)
     if current:
         raise CnfError("unterminated clause (missing trailing 0)")
-    if num_clauses is not None and len(clauses) != num_clauses:
+    if len(clauses) != num_clauses:
         raise CnfError(
             f"header announces {num_clauses} clauses, found {len(clauses)}"
         )
@@ -237,49 +235,38 @@ def reduce_3sat_to_twohop(formula: CnfFormula) -> ReductionOutput:
 
     Forced edges (clause to each of its literals, then both directions
     between complementary literals) each receive ``2n + 4`` gadget arms.
-    Duplicate literals inside a clause collapse to one demand edge, so
+    Duplicate literals inside a clause collapse to one forced edge, so
     the forced-edge list can be shorter than ``2n + 3m``; the emitted
-    budget always uses the closed form.  A graph of more than
+    budget always uses the closed form.  Forced edges of different
+    clauses or variables never coincide.  A graph of more than
     ``MAX_PARSED_NODES`` nodes is refused with ``DemandGraphSizeError``
-    before any demand is built.
+    once the clause edges are listed, before anything per variable is
+    built.
     """
     n = formula.num_vars
     m = len(formula.clauses)
     star = m + 2 * n
     arms = 2 * n + 4
     base = star + 1
-    forced_count = sum(len(set(clause)) for clause in formula.clauses) + 2 * n
-    total_nodes = base + forced_count * arms * 3
+    forced = [
+        (clause_idx, _literal_node(m, n, literal))
+        for clause_idx, clause in enumerate(formula.clauses)
+        for literal in dict.fromkeys(clause)
+    ]
+    total_nodes = base + (len(forced) + 2 * n) * arms * 3
     if total_nodes > MAX_PARSED_NODES:
         raise DemandGraphSizeError(
             f"the reduction of {n} variables and {m} clauses has {total_nodes} nodes, "
             f"over the limit of {MAX_PARSED_NODES}"
         )
 
-    demands: set[tuple[int, int]] = set()
-    forced: list[tuple[int, int]] = []
-    forced_seen: set[tuple[int, int]] = set()
-
-    def force(a: int, b: int) -> None:
-        if (a, b) not in forced_seen:
-            forced_seen.add((a, b))
-            forced.append((a, b))
-
-    for clause_idx, clause in enumerate(formula.clauses):
-        for literal in clause:
-            target = _literal_node(m, n, literal)
-            demands.add((clause_idx, target))
-            force(clause_idx, target)
-        demands.add((clause_idx, star))
     for var in range(1, n + 1):
         positive = _literal_node(m, n, var)
         negative = _literal_node(m, n, -var)
-        demands.add((positive, negative))
-        demands.add((negative, positive))
-        force(positive, negative)
-        force(negative, positive)
-        demands.add((positive, star))
-        demands.add((negative, star))
+        forced += [(positive, negative), (negative, positive)]
+    # Every clause and literal node also sends to the star.
+    demands = set(forced)
+    demands.update((node, star) for node in range(star))
 
     roles: list[dict] = []
     for clause_idx in range(m):

@@ -1,10 +1,11 @@
 import gc
 import json
 import sys
+from itertools import permutations
 
 import pytest
 
-from pigeonpost import cli
+from pigeonpost import DemandGraph, cli
 from pigeonpost.cli import main
 from pigeonpost.instances import cycle_graph, demo_graph
 from pigeonpost.reductions import parse_undirected_graph
@@ -207,6 +208,31 @@ def test_export_lp(demo_file, capsys):
     assert code == 0
     assert out.startswith("Minimize\n")
     assert "Binary" in out and out.rstrip().endswith("End")
+
+
+# The size limits of ``solve --algorithm ilp`` (10 nodes, 40 demands): the
+# whole graph for 2-hop, the one component for multihop.
+@pytest.mark.parametrize(
+    "graph, twohop, multihop",
+    [
+        (cycle_graph(10), 0, 0),
+        (cycle_graph(11), 2, 2),
+        (DemandGraph.from_pairs(11, [(0, 1)]), 2, 0),
+        (DemandGraph.from_pairs(7, list(permutations(range(7), 2))), 2, 2),  # 42 demands
+    ],
+    ids=["cycle10", "cycle11", "one-demand-on-11-nodes", "complete7"],
+)
+@pytest.mark.parametrize("mode", ["twohop", "multihop"])
+def test_export_lp_applies_the_solver_size_limits(tmp_path, capsys, graph, twohop, multihop, mode):
+    path = tmp_path / "graph.json"
+    path.write_text(graph.to_json())
+    code = main(["export-lp", str(path), "--mode", mode])
+    captured = capsys.readouterr()
+    assert code == {"twohop": twohop, "multihop": multihop}[mode]
+    if code:
+        assert_one_error_line(captured)
+    else:
+        assert captured.out.startswith("Minimize\n")
 
 
 def test_identical_invocations_are_byte_identical(demo_file, capsys):

@@ -1,3 +1,4 @@
+import heapq
 import random
 from itertools import permutations
 
@@ -118,6 +119,54 @@ def test_multihop_matches_bfs_oracle_on_every_four_node_graph():
         assert verify_multihop(g, result.plan).satisfied
 
 
+def multihop_optimum_by_astar(g: DemandGraph) -> int:
+    """Oracle: fewest flights serving ``g``'s demands under multihop routing.
+
+    A* over knowledge states, one mask per node of the origins whose data
+    it carries; flight ``a -> b`` ORs ``a``'s mask into ``b``'s.  Any
+    flight sequence is explored, so, like the BFS oracle above, nothing
+    here assumes the walk normal form that ``optimal_multihop`` and the
+    ILP rely on.  The heuristic counts the destinations still missing an
+    origin: a flight changes one node's mask, so it is consistent, and
+    the first goal state popped is at the optimal depth.
+    """
+    n = g.n
+    wanted = [0] * n
+    for u, v in g.demands:
+        wanted[v] |= 1 << u
+
+    def missing(state: tuple[int, ...]) -> int:
+        return sum(1 for v in range(n) if wanted[v] & ~state[v])
+
+    start = tuple(1 << v for v in range(n))
+    depth = {start: 0}
+    heap = [(missing(start), 0, start)]
+    while heap:
+        estimate, d, state = heapq.heappop(heap)
+        if estimate == d:  # nothing missing
+            return d
+        if d > depth[state]:
+            continue
+        for a, b in permutations(range(n), 2):
+            merged = state[b] | state[a]
+            if merged == state[b]:
+                continue
+            child = state[:b] + (merged,) + state[b + 1:]
+            if d + 1 < depth.get(child, d + 2):
+                depth[child] = d + 1
+                heapq.heappush(heap, (d + 1 + missing(child), d + 1, child))
+    raise AssertionError("every demand set is servable")
+
+
+def test_multihop_matches_astar_oracle_on_random_five_node_graphs():
+    for seed in range(200):
+        rng = random.Random(seed)
+        g = random_demand_graph(rng, 5, rng.choice([0.2, 0.3, 0.4, 0.5, 0.7]))
+        result = optimal_multihop(g)
+        assert result.proven_optimal
+        assert result.count == multihop_optimum_by_astar(g), (seed, g.sorted_demands())
+
+
 def twohop_optima_by_bfs(n: int) -> dict[int, int]:
     """Oracle: fewest 2-hop flights serving each set of ordered pairs on ``n`` nodes.
 
@@ -196,6 +245,17 @@ def test_multihop_incumbent_is_proven_when_no_shorter_walk_exists(monkeypatch):
     assert result.proven_optimal
     assert result.plan == plan_coordinator(g).plan
     assert result.count == 4
+
+
+def test_multihop_oversized_component_is_refused_before_any_search(monkeypatch):
+    # The 4-cycle alone would be searched (incumbent 6 over bound 4); the
+    # 11-node cycle after it is over max_nodes=10.
+    cycle4 = [(i, (i + 1) % 4) for i in range(4)]
+    cycle11 = [(4 + i, 4 + (i + 1) % 11) for i in range(11)]
+    caps = record_walk_searches(monkeypatch)
+    with pytest.raises(SearchLimitError):
+        optimal_multihop(DemandGraph.from_pairs(15, cycle4 + cycle11))
+    assert caps == []
 
 
 # Smallest expansion budget that proves each instance.  The counts were

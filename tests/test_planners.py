@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,8 +6,13 @@ import pytest
 
 from pigeonpost import (
     DemandGraph,
+    SearchLimits,
     approximation_report,
     lower_bound,
+    optimal_multihop,
+    optimal_multihop_ilp,
+    optimal_twohop,
+    optimal_twohop_ilp,
     plan_coordinator,
     plan_cycle,
     plan_singlehop,
@@ -15,7 +21,7 @@ from pigeonpost import (
     verify_twohop,
     weakly_connected_components,
 )
-from pigeonpost.instances import cycle_graph, star_graph
+from pigeonpost.instances import cycle_graph, demo_graph, star_graph
 
 from conftest import random_demand_graph
 
@@ -128,3 +134,28 @@ def test_plans_are_deterministic(demo):
     assert plan_coordinator(demo).to_json() == plan_coordinator(demo).to_json()
     assert plan_cycle(demo).to_json() == plan_cycle(demo).to_json()
     assert plan_singlehop(demo).to_json() == plan_singlehop(demo).to_json()
+
+
+def test_default_time_budget_is_finite():
+    assert SearchLimits().time_budget == 60
+
+
+def test_time_budget_none_is_refused():
+    with pytest.raises(TypeError):
+        SearchLimits(time_budget=None)
+
+
+# Both graphs are searched in both modes but multihop demo, whose coordinator
+# plan meets its bound; on the 4-cycle HiGHS runs in both modes.
+@pytest.mark.parametrize("graph, optimum", [(demo_graph(), 5), (cycle_graph(4), 4)],
+                         ids=["demo", "cycle4"])
+@pytest.mark.parametrize(
+    "solve",
+    [optimal_twohop, optimal_multihop, optimal_twohop_ilp, optimal_multihop_ilp],
+    ids=["exact-twohop", "exact-multihop", "ilp-twohop", "ilp-multihop"],
+)
+def test_unbounded_time_budget_proves_the_optimum(graph, optimum, solve):
+    if solve.__name__.endswith("_ilp"):
+        pytest.importorskip("scipy")
+    result = solve(graph, SearchLimits(time_budget=math.inf))
+    assert (result.count, result.proven_optimal) == (optimum, True)

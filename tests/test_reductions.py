@@ -19,6 +19,9 @@ from pigeonpost import (
     verify_twohop,
 )
 
+from pigeonpost import reductions
+from pigeonpost.demand import DemandGraphSizeError
+
 from conftest import random_connected_undirected
 
 EXAMPLE_CNF = "p cnf 5 2\n1 -3 2 0\n3 4 5 0\n"
@@ -87,6 +90,27 @@ def test_3sat_node_count_with_repeated_literals():
     assert red.graph.n == len(red.roles) < expected_node_count(3, 2)
     assert [r["node"] for r in red.roles] == list(range(red.graph.n))
     assert max(v for d in red.graph.demands for v in d) == red.graph.n - 1
+
+
+@pytest.mark.parametrize("offset, accepted", [(0, True), (-1, False)], ids=["at-cap", "over-cap"])
+def test_3sat_node_cap_counts_distinct_forced_edges(monkeypatch, offset, accepted):
+    formula = parse_dimacs_cnf("p cnf 3 2\n1 1 2 0\n-1 -1 -1 0\n")
+    # 2 clauses, 6 literals and the star, then 3 nodes per arm and 2n + 4 = 10
+    # arms on each of the 2 + 1 clause edges and 2n = 6 literal swaps.
+    nodes = 2 + 6 + 1 + (2 + 1 + 6) * 10 * 3
+    monkeypatch.setattr(reductions, "MAX_PARSED_NODES", nodes + offset)
+    if accepted:
+        assert reduce_3sat_to_twohop(formula).graph.n == nodes
+    else:
+        with pytest.raises(DemandGraphSizeError):
+            reduce_3sat_to_twohop(formula)
+
+
+def test_cnf_formula_is_where_the_clause_width_is_checked():
+    with pytest.raises(CnfError, match="exactly three literals"):
+        CnfFormula(3, ((1, 2),))
+    with pytest.raises(CnfError, match="exactly three literals"):
+        parse_dimacs_cnf("p cnf 4 2\n1 2 3 0\n1 2 3 4 0\n")
 
 
 @pytest.mark.parametrize("n,m", [(3, 1), (4, 2), (5, 2), (6, 4)])

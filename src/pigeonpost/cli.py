@@ -31,7 +31,6 @@ from .demand import (
     DemandGraphSizeError,
     lower_bound,
     parse_demand_graph,
-    weakly_connected_components,
 )
 from .jsonutil import canonical_dumps
 
@@ -194,7 +193,7 @@ def _cmd_export_lp(args: argparse.Namespace) -> int:
     builder = build_twohop_model if args.mode == "twohop" else build_multihop_model
     try:
         # The size limits of ``solve --algorithm ilp``: a model has about n^4 variables.
-        _checked_parts(graph, weakly_connected_components(graph), args.mode, SearchLimits())
+        _checked_parts(graph, args.mode, SearchLimits())
         model = builder(graph)
     except (ModelError, SearchLimitError) as exc:  # a multihop model covers one component
         print(f"error: {exc}", file=sys.stderr)

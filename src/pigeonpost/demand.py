@@ -175,6 +175,17 @@ def _endpoint_bound(demands) -> int:
     return max(len({src for src, _ in demands}), len({dst for _, dst in demands}))
 
 
+def _flight_bound(components, demands) -> int:
+    """The one lower bound of all three regimes: the sum over the weakly
+    connected components ``components[i]``, with demands ``demands[i]``, of
+    ``max(m - 1, |S|, |D|)``.  A component's flights must connect its ``m``
+    nodes, every source sends a pigeon and every destination receives one.
+    That bounds multihop plans, so it bounds 2-hop plans (a relay ``u -> w
+    -> v`` flies in ascending slots) and singlehop plans too.  The sum
+    rests on components adding up, as the multihop solvers assume."""
+    return sum(max(len(comp) - 1, _endpoint_bound(d)) for comp, d in zip(components, demands))
+
+
 class PigeonLowerBound(NamedTuple):
     """Universal lower bound on the number of pigeons.
 

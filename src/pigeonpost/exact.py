@@ -20,7 +20,7 @@ the set of relay nodes already holding its data).
 
 Both solvers follow the policy of ``planners._search_below_coordinator``
 (2-hop over the whole graph, multihop per component): the coordinator
-plan is the incumbent, a count that meets the lower bound is returned as
+plan is the incumbent, a count at the bound ``demand._flight_bound`` is
 proven without a search, and otherwise the search looks only for plans
 with fewer flights.  Failing to find one proves the incumbent optimal.
 The policy holds the solve's one budget: the searches spend from it and
@@ -34,7 +34,7 @@ from collections.abc import Iterable
 from heapq import heappop, heappush
 from typing import NamedTuple
 
-from .demand import DemandGraph, lower_bound
+from .demand import DemandGraph, _flight_bound, weakly_connected_components
 from .flightplan import Flight, verify
 from .jsonutil import canonical_dumps
 from .planners import (  # SearchLimitError is re-exported for callers of this module
@@ -258,9 +258,9 @@ def _search_twohop(
 def optimal_twohop(g: DemandGraph, limits: SearchLimits = SearchLimits()) -> PlannerResult:
     """Provably minimal 2-hop plan via iterative deepening.
 
-    Flight counts run from the component-wise lower bound up to one below
-    the coordinator plan's count; the first feasible count is optimal,
-    and when none is, the coordinator plan is.  On budget exhaustion the
+    Flight counts run from ``demand._flight_bound`` up to one below the
+    coordinator plan's count; the first feasible count is optimal, and
+    when none is, the coordinator plan is.  On budget exhaustion the
     coordinator plan is returned unproven.
     """
     return _search_below_coordinator(g, "twohop", "exact", limits, _search_twohop)
@@ -280,15 +280,15 @@ class OptimalityCertificate(NamedTuple):
 
 
 def certify(g: DemandGraph, result: PlannerResult) -> OptimalityCertificate:
-    """Re-verify a proven-optimal result and re-check it against the bound.
+    """Re-verify a proven-optimal result and re-check it against the bound
+    its solve proved against, ``demand._flight_bound``.
 
     An invalid certificate signals a solver bug: either the plan fails
-    its own verifier or the claimed count undercuts the component-wise
-    lower bound.
+    its own verifier or the claimed count undercuts the bound.
     """
     if not result.proven_optimal:
         raise ValueError("certificates are only issued for proven-optimal results")
-    bound = lower_bound(g).component_total
+    bound = _flight_bound(*weakly_connected_components(g))
     report = verify(result.mode, g, result.plan)
     valid = report.satisfied and result.count >= bound
     return OptimalityCertificate(

@@ -30,11 +30,11 @@ of the paper model that use at most ``k`` slots.  The planners
 ``planners._search_below_coordinator``, as the exact solvers do: the
 coordinator plan of the graph (2-hop) or of each weakly connected
 component (multihop) is the incumbent, and when its count meets the
-lower bound it is returned as proven optimal; no model is built and
-scipy is not imported.  Otherwise they build the model at the
-incumbent's slot count, ``count - 1`` flight slots (2-hop) or ``count``
-walk positions (multihop), so its solutions are the plans with fewer
-flights than the incumbent.  ``_tighten`` replaces the multihop pairwise
+bound ``demand._flight_bound`` it is returned as proven optimal; no
+model is built and scipy is not imported.  Otherwise they build the
+model at the incumbent's slot count, ``count - 1`` flight slots (2-hop)
+or ``count`` walk positions (multihop), so its solutions are the plans
+with fewer flights than the incumbent.  ``_tighten`` replaces the multihop pairwise
 linking rows by aggregated ones and forces the used 2-hop slots to form
 a prefix.  When HiGHS proves that model infeasible, the incumbent is
 optimal.  A solution is checked against every row of the model as built
@@ -513,11 +513,10 @@ def _solve_below(
 def optimal_twohop_ilp(g: DemandGraph, limits: SearchLimits = SearchLimits()) -> PlannerResult:
     """2-hop optimum via the slot model, searched below the coordinator plan.
 
-    The coordinator plan is the incumbent.  When its count meets the
-    lower bound, ``max(|S|, |D|)`` summed over the weakly connected
-    components, it is optimal and no model is solved.  Otherwise the
-    model has ``count - 1`` slots, so HiGHS either finds a plan with
-    fewer flights or proves, by infeasibility, that none exists.
+    The coordinator plan is the incumbent.  When its count meets
+    ``demand._flight_bound`` it is optimal and no model is solved.
+    Otherwise the model has ``count - 1`` slots, so HiGHS either finds a
+    plan with fewer flights or proves, by infeasibility, that none exists.
     """
     search = partial(_solve_below, "twohop", limits)
     return _search_below_coordinator(g, "twohop", "ilp", limits, search)
@@ -528,9 +527,8 @@ def optimal_multihop_ilp(g: DemandGraph, limits: SearchLimits = SearchLimits()) 
 
     Each component's incumbent is its coordinator plan.  On ``m`` nodes
     it has at most ``2m - 2`` flights (one per other source, one per
-    other destination), so it never loses to the cycle walk.  The flights
-    of any plan connect all ``m`` nodes, so ``max(m - 1, |S|, |D|)``
-    bounds the component; an incumbent that meets it is optimal and no
+    other destination), so it never loses to the cycle walk.  An
+    incumbent that meets ``demand._flight_bound`` is optimal and no
     model is solved.  Otherwise the walk model keeps as many positions
     as the incumbent has flights, so a solution is a walk with fewer
     flights, and infeasibility proves the incumbent optimal.

@@ -15,8 +15,8 @@
 ``SearchLimits`` holds the size and effort caps shared by the exact and
 ILP solvers, which both import this module.  Both also share one solve
 policy, ``_search_below_coordinator``: the coordinator plan is the
-incumbent, a count that meets the lower bound is returned as proven
-optimal with nothing searched, and otherwise the solver searches only
+incumbent, a count at the bound ``demand._flight_bound`` is returned as
+proven optimal with nothing searched, and otherwise the solver searches only
 for plans with fewer flights, keeping the incumbent when it finds none.
 The policy holds the solve's one budget, ``_Effort``: an expansion count
 and a deadline ``SearchLimits.time_budget`` seconds away, 60 by default
@@ -33,7 +33,7 @@ from itertools import chain
 from math import gcd
 from typing import TYPE_CHECKING, NamedTuple
 
-from .demand import ComponentPartition, DemandGraph, _endpoint_bound, weakly_connected_components
+from .demand import DemandGraph, _endpoint_bound, _flight_bound, weakly_connected_components
 from .flightplan import Flight, FlightPlan
 from .jsonutil import canonical_dumps
 
@@ -238,22 +238,19 @@ class _Effort:
 
 
 def _checked_parts(
-    g: DemandGraph, partition: ComponentPartition, mode: str, limits: SearchLimits
-) -> list[tuple[DemandGraph, int, str]]:
+    g: DemandGraph, mode: str, limits: SearchLimits
+) -> list[tuple[DemandGraph, int]]:
     """The parts an optimal solve of ``g`` treats one by one, each with its
-    node count and scope: the whole graph for 2-hop, each weakly connected
-    component (of ``partition``) for multihop.  Raises ``SearchLimitError``
-    when a part is over ``limits``, before any part is searched."""
+    ``_flight_bound``: the whole graph for 2-hop, each weakly connected
+    component for multihop.  Raises ``SearchLimitError`` when a part is
+    over ``limits``, before any part is searched."""
+    partition = weakly_connected_components(g)
     if mode == "twohop":
-        parts = [(g, g.n, "graph")]
-    else:
-        parts = [
-            (DemandGraph(g.n, demands), len(comp), "component")
-            for comp, demands in zip(partition.components, partition.demands)
-        ]
-    for part, nodes, scope in parts:
-        limits.check_size(nodes, len(part.demands), scope)
-    return parts
+        limits.check_size(g.n, len(g.demands), "graph")
+        return [(g, _flight_bound(*partition))]
+    for comp, demands in zip(*partition):
+        limits.check_size(len(comp), len(demands), "component")
+    return [(DemandGraph(g.n, d), _flight_bound((c,), (d,))) for c, d in zip(*partition)]
 
 
 def _search_below_coordinator(
@@ -265,14 +262,13 @@ def _search_below_coordinator(
 ) -> PlannerResult:
     """The solve policy of the exact and ILP planners.
 
-    A 2-hop plan is solved as one part, the whole graph, with the bound
-    ``max(|S|, |D|)`` summed over the weakly connected components.  A
-    multihop plan is solved per component of ``m`` nodes, whose flights
-    must connect all of them, so its bound is ``max(m - 1, |S|, |D|)``.
-    The parts come from ``_checked_parts``, so a part over the size
-    limits is refused before any is searched; ``export-lp`` applies the
-    same check.  Each part's incumbent is its coordinator plan.  When
-    that meets the bound it is optimal and nothing is searched.  Otherwise
+    A 2-hop plan is solved as one part, the whole graph; a multihop plan
+    per weakly connected component.  Each part's bound is
+    ``demand._flight_bound``, the one bound of every regime.  The parts
+    come from ``_checked_parts``, so a part over the size limits is
+    refused before any is searched; ``export-lp`` applies the same check.
+    Each part's incumbent is its coordinator plan.  When that meets the
+    bound it is optimal and nothing is searched.  Otherwise
     ``search(part, bound, cap, effort)`` returns the flights of a plan
     with at most ``cap = count - 1`` flights, or None when no such plan
     exists, or raises ``_BudgetExhausted`` when the solve's one budget
@@ -280,17 +276,12 @@ def _search_below_coordinator(
     the exception carries, unproven; later parts are still searched with
     what is left.  The result is proven when every part is.
     """
-    partition = weakly_connected_components(g)
-    parts = _checked_parts(g, partition, mode, limits)
+    parts = _checked_parts(g, mode, limits)
     effort = _Effort(limits)
     flights: list[Flight] = []
     proven = True
-    for part, nodes, _scope in parts:
+    for part, bound in parts:
         incumbent = plan_coordinator(part)
-        if mode == "twohop":
-            bound = sum(map(_endpoint_bound, partition.demands))  # lower_bound(g).component_total
-        else:
-            bound = max(nodes - 1, incumbent.lower_bound)
         found = None
         if incumbent.count > bound:
             try:

@@ -130,8 +130,11 @@ def test_boolean_endpoints_exit_three(demo_file, tmp_path, capsys):
     assert code == 3
 
 
-def test_strict_budget_exits_four(demo_file, capsys):
-    code, _ = run(capsys, "solve", demo_file, "--mode", "twohop",
+def test_strict_budget_exits_four(tmp_path, capsys):
+    # The 4-cycle needs a search: coordinator 6 against a bound of 4.
+    path = tmp_path / "cycle4.json"
+    path.write_text(cycle_graph(4).to_json())
+    code, _ = run(capsys, "solve", str(path), "--mode", "twohop",
                   "--algorithm", "exact", "--budget", "2", "--strict")
     assert code == 4
 

@@ -18,7 +18,8 @@ from pigeonpost import (
     verify_multihop,
     verify_twohop,
 )
-from pigeonpost import exact
+from pigeonpost import exact, ilp, weakly_connected_components
+from pigeonpost.demand import _endpoint_bound, _flight_bound
 from pigeonpost.instances import cycle_graph, demo_graph, random_graph, star_graph
 
 from conftest import random_demand_graph
@@ -128,7 +129,8 @@ def multihop_optimum_by_astar(g: DemandGraph) -> int:
     here assumes the walk normal form that ``optimal_multihop`` and the
     ILP rely on.  The heuristic counts the destinations still missing an
     origin: a flight changes one node's mask, so it is consistent, and
-    the first goal state popped is at the optimal depth.
+    the first goal state popped is at the optimal depth.  Ties go to the
+    deeper state, which reaches a goal sooner.
     """
     n = g.n
     wanted = [0] * n
@@ -142,7 +144,8 @@ def multihop_optimum_by_astar(g: DemandGraph) -> int:
     depth = {start: 0}
     heap = [(missing(start), 0, start)]
     while heap:
-        estimate, d, state = heapq.heappop(heap)
+        estimate, minus_d, state = heapq.heappop(heap)
+        d = -minus_d
         if estimate == d:  # nothing missing
             return d
         if d > depth[state]:
@@ -154,7 +157,7 @@ def multihop_optimum_by_astar(g: DemandGraph) -> int:
             child = state[:b] + (merged,) + state[b + 1:]
             if d + 1 < depth.get(child, d + 2):
                 depth[child] = d + 1
-                heapq.heappush(heap, (d + 1 + missing(child), d + 1, child))
+                heapq.heappush(heap, (d + 1 + missing(child), -d - 1, child))
     raise AssertionError("every demand set is servable")
 
 
@@ -211,6 +214,126 @@ def test_twohop_matches_bfs_oracle_on_every_four_node_graph():
         assert result.proven_optimal
         assert result.count == expected, g.sorted_demands()
         assert verify_twohop(g, result.plan).satisfied
+
+
+def twohop_optimum_by_astar(g: DemandGraph) -> int:
+    """Oracle: fewest flights serving ``g``'s demands under 2-hop routing.
+
+    A* over (arcs flown, demands served), the per-graph form of
+    ``twohop_optima_by_bfs``.  Arc ``u -> w`` is bit ``w*n + u`` of the
+    first mask and demand ``(u, v)`` is bit ``v*n + u`` of the second, so
+    flight ``a -> b`` serves, by one shift, ``(a, b)`` and every
+    ``(u, b)`` whose pickup ``u -> a`` flew earlier.  Any flight order is
+    explored and no relay form is assumed.  The heuristic counts the
+    destinations still missing a demand: a flight lands at one node, so
+    it is consistent, and the first goal state popped is at the optimal
+    depth.  Ties go to the deeper state, which reaches a goal sooner.
+    """
+    n = g.n
+    row = (1 << n) - 1
+    wanted = 0
+    for u, v in g.demands:
+        wanted |= 1 << (v * n + u)
+    into = [wanted & row << (v * n) for v in range(n)]
+
+    def missing(served: int) -> int:
+        return sum(1 for mask in into if mask & ~served)
+
+    start = (0, 0)
+    depth = {start: 0}
+    heap = [(missing(0), 0, start)]
+    while heap:
+        estimate, minus_d, state = heapq.heappop(heap)
+        d = -minus_d
+        if estimate == d:  # nothing missing
+            return d
+        if d > depth[state]:
+            continue
+        flown, served = state
+        for a, b in permutations(range(n), 2):
+            held = (flown >> (a * n)) & row | 1 << a  # a's own data and its pickups'
+            child = (flown | 1 << (b * n + a), served | (held << (b * n)) & wanted)
+            if child != state and d + 1 < depth.get(child, d + 2):
+                depth[child] = d + 1
+                heapq.heappush(heap, (d + 1 + missing(child[1]), -d - 1, child))
+    raise AssertionError("every demand set is servable")
+
+
+def one_bound(g: DemandGraph) -> int:
+    return _flight_bound(*weakly_connected_components(g))
+
+
+def component_above_endpoints(rng: random.Random, nodes: list[int]) -> list[tuple[int, int]]:
+    """Demands of one weakly connected component on ``nodes`` whose
+    ``m - 1`` exceeds ``max(|S|, |D|)``, so the bound rests on ``m - 1``."""
+    while True:
+        pairs = [(a, b) for a in nodes for b in nodes if a != b and rng.random() < 0.3]
+        g = DemandGraph.from_pairs(max(nodes) + 1, pairs)
+        if (weakly_connected_components(g).components == (frozenset(nodes),)
+                and len(nodes) - 1 > _endpoint_bound(pairs)):
+            return pairs
+
+
+def oracle_sample(n: int, seed: int) -> DemandGraph:
+    """Seeded ``n``-node graph; every fifth holds a 4-node component above
+    its endpoints and nothing else."""
+    rng = random.Random(seed)
+    if seed % 5:
+        return random_demand_graph(rng, n, rng.choice([0.2, 0.3, 0.4, 0.5, 0.7]))
+    return DemandGraph.from_pairs(n, component_above_endpoints(rng, sorted(rng.sample(range(n), 4))))
+
+
+def two_component_graph(seed: int) -> DemandGraph:
+    """Seeded 6-node graph: a 4-node component above its endpoints and a 2-node one."""
+    rng = random.Random(seed)
+    nodes = list(range(6))
+    rng.shuffle(nodes)
+    a, b = nodes[4:]
+    pair = [(a, b), (b, a)][: rng.randint(1, 2)]
+    return DemandGraph.from_pairs(6, component_above_endpoints(rng, sorted(nodes[:4])) + pair)
+
+
+@pytest.mark.parametrize(
+    "n, seeds", [(5, range(100)), pytest.param(6, range(30), marks=pytest.mark.slow)], ids=["n5", "n6"]
+)
+def test_twohop_matches_astar_oracle(n, seeds):
+    for seed in seeds:
+        g = oracle_sample(n, seed)
+        expected = twohop_optimum_by_astar(g)
+        assert one_bound(g) <= expected, (seed, g.sorted_demands())
+        result = optimal_twohop(g)
+        assert result.proven_optimal
+        assert result.count == expected, (seed, g.sorted_demands())
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n, count", [(6, 100), (7, 40)], ids=["n6", "n7"])
+def test_multihop_matches_astar_oracle_on_larger_graphs(n, count):
+    for seed in range(count):
+        g = random_demand_graph(random.Random(seed), n, 0.5)
+        expected = multihop_optimum_by_astar(g)
+        assert one_bound(g) <= expected, (seed, g.sorted_demands())
+        result = optimal_multihop(g)
+        assert result.proven_optimal
+        assert result.count == expected, (seed, g.sorted_demands())
+
+
+@pytest.mark.parametrize(
+    "seeds", [range(5), pytest.param(range(5, 35), marks=pytest.mark.slow)], ids=["5", "30"]
+)
+@pytest.mark.parametrize(
+    "planner, oracle",
+    [(optimal_twohop, twohop_optimum_by_astar), (optimal_multihop, multihop_optimum_by_astar)],
+    ids=["twohop", "multihop"],
+)
+def test_one_bound_holds_on_two_component_graphs(planner, oracle, seeds):
+    for seed in seeds:
+        g = two_component_graph(seed)
+        expected = oracle(g)
+        assert one_bound(g) <= expected, (seed, g.sorted_demands())
+        result = planner(g)
+        assert result.proven_optimal
+        assert result.count == expected, (seed, g.sorted_demands())
 
 
 def record_walk_searches(monkeypatch) -> list[int]:
@@ -334,11 +457,26 @@ def test_twohop_search_starts_at_the_component_bound(monkeypatch):
     assert result.count == lower_bound(g).component_total == 4
 
 
-def test_twohop_budget_falls_back_to_coordinator(demo):
-    result = optimal_twohop(demo, SearchLimits(expansion_budget=3))
+def test_twohop_budget_falls_back_to_coordinator():
+    # The 4-cycle's coordinator plan has 6 flights against a bound of 4.
+    g = cycle_graph(4)
+    result = optimal_twohop(g, SearchLimits(expansion_budget=3))
     assert not result.proven_optimal
-    assert result.count == plan_coordinator(demo).count
-    assert verify_twohop(demo, result.plan).satisfied
+    assert result.count == plan_coordinator(g).count == 6
+    assert verify_twohop(g, result.plan).satisfied
+
+
+def test_demo_is_decided_by_the_bound_in_both_solvers(monkeypatch, demo):
+    # The demo's coordinator plan has m - 1 = 5 flights on 6 nodes.
+    def fail(*args):
+        raise AssertionError("the bound decides the demo")
+
+    monkeypatch.setattr(exact._TwoHopSearch, "find_plan", fail)
+    monkeypatch.setattr(ilp, "build_twohop_model", fail)
+    for planner in (optimal_twohop, ilp.optimal_twohop_ilp):
+        result = planner(demo)
+        assert (result.count, result.proven_optimal) == (5, True)
+        assert result.plan == plan_coordinator(demo).plan
 
 
 def test_certify_tight_bound():
@@ -347,10 +485,18 @@ def test_certify_tight_bound():
     assert (cert.count, cert.lower_bound, cert.tight, cert.valid) == (4, 4, True, True)
 
 
-def test_certify_demo_not_tight(demo):
+def test_certify_demo_is_tight(demo):
     cert = certify(demo, optimal_multihop(demo))
-    assert (cert.count, cert.lower_bound, cert.tight) == (5, 3, False)
-    assert cert.valid
+    assert (cert.count, cert.lower_bound, cert.tight, cert.valid) == (5, 5, True, True)
+
+
+@pytest.mark.parametrize("planner", [optimal_twohop, optimal_multihop], ids=["twohop", "multihop"])
+def test_certify_triangle_not_tight(planner):
+    # The bidirected triangle: the optimum 4 is the coordinator plan's
+    # count, above the bound max(m - 1, |S|, |D|) = 3.
+    g = DemandGraph.from_pairs(3, [(0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1)])
+    cert = certify(g, planner(g))
+    assert (cert.count, cert.lower_bound, cert.tight, cert.valid) == (4, 3, False, True)
 
 
 def test_certify_detects_tampered_plan(demo):

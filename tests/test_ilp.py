@@ -32,6 +32,7 @@ from test_acceptance import _all_connected_graphs_n3
 DATA = Path(__file__).parent / "data"
 
 PATH3 = DemandGraph.from_pairs(3, [(0, 1), (1, 2)])
+TRIANGLE = DemandGraph.from_pairs(3, [(0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1)])
 
 
 def count_kinds(model: BinaryModel):
@@ -221,34 +222,34 @@ def _violated_rows(model: BinaryModel, values: dict[str, int]) -> list[str]:
 
 
 TIGHTENED_CASES = [(f"n3-{i}", g) for i, g in enumerate(_all_connected_graphs_n3())]
-TIGHTENED_CASES.append(("demo", demo_graph()))
+TIGHTENED_CASES += [("demo", demo_graph()), ("cycle4", cycle_graph(4))]
 
 
-def _incumbent_and_bound(kind: str, g: DemandGraph) -> tuple[int, int]:
-    """The coordinator count of a connected ``g`` and the bound the planner holds it to."""
+def _incumbent_and_bound(g: DemandGraph) -> tuple[int, int]:
+    """The coordinator count of a connected ``g`` and the bound
+    ``max(m - 1, |S|, |D|)`` the planner holds it to in either regime."""
     hub = plan_coordinator(g)
-    if kind == "twohop":
-        return hub.count, hub.lower_bound
     return hub.count, max(g.n - 1, hub.lower_bound)
 
 
 @pytest.mark.parametrize(
-    "planner, exact, build, kind",
+    "planner, exact, build",
     [
-        (optimal_twohop_ilp, optimal_twohop, build_twohop_model, "twohop"),
-        (optimal_multihop_ilp, optimal_multihop, build_multihop_model, "multihop"),
+        (optimal_twohop_ilp, optimal_twohop, build_twohop_model),
+        (optimal_multihop_ilp, optimal_multihop, build_multihop_model),
     ],
     ids=["twohop", "multihop"],
 )
-def test_tightened_solve_keeps_optimum_and_paper_rows(solved, planner, exact, build, kind):
-    assert len(TIGHTENED_CASES) == 55  # all 54 connected 3-node graphs and the demo
+def test_tightened_solve_keeps_optimum_and_paper_rows(solved, planner, exact, build):
+    # All 54 connected 3-node graphs, the demo and the 4-cycle.
+    assert len(TIGHTENED_CASES) == 56
     paths = set()
     for label, g in TIGHTENED_CASES:
         solved.clear()
         result = planner(g)
         assert result.proven_optimal, label
         assert result.count == exact(g).count, label
-        incumbent, bound = _incumbent_and_bound(kind, g)
+        incumbent, bound = _incumbent_and_bound(g)
         if not solved:
             # Decided by the bound, without a solver call.
             assert result.count == incumbent == bound, label
@@ -290,11 +291,12 @@ def test_count_at_the_bound_calls_no_solver(solved):
 
 
 def test_infeasible_model_proves_the_incumbent(solved):
-    g = demo_graph()
+    # The bidirected triangle: coordinator = optimum = 4, above the bound 3.
+    g = TRIANGLE
     hub = plan_coordinator(g)
     result = optimal_twohop_ilp(g)
     ((model, assignment),) = solved
-    assert max(v.index[-1] for v in model.variables) == hub.count - 1 == 4
+    assert max(v.index[-1] for v in model.variables) == hub.count - 1 == 3
     assert assignment.status == "infeasible"
     assert result.proven_optimal
     assert result.plan == hub.plan and result.algorithm == "ilp"

@@ -173,19 +173,18 @@ def test_exact_solve_loads_only_the_exact_solver(files):
     ids=["export-lp", "solve-ilp"],
 )
 def test_ilp_commands_load_only_the_ilp_solver(files, argv):
-    # The 2-hop demo solve reaches HiGHS: its coordinator plan has 5
-    # flights against a bound of 3.
     code, modules = cli_modules(*(arg.format(**files) for arg in argv))
     assert code == 0
     assert modules & SOLVER_MODULES == {"pigeonpost.ilp"}
 
 
 def test_ilp_solve_decided_by_the_bound_loads_no_scipy(files):
-    # The demo's multihop coordinator plan has m - 1 = 5 flights.
-    code, modules = cli_modules("solve", files["graph"], "--mode", "multihop", "--algorithm", "ilp")
-    assert code == 0
-    assert "pigeonpost.ilp" in modules
-    assert not {m.split(".")[0] for m in modules} & {"scipy", "numpy"}
+    # In both regimes the demo's coordinator plan has m - 1 = 5 flights.
+    for mode in ("twohop", "multihop"):
+        code, modules = cli_modules("solve", files["graph"], "--mode", mode, "--algorithm", "ilp")
+        assert code == 0
+        assert "pigeonpost.ilp" in modules
+        assert not {m.split(".")[0] for m in modules} & {"scipy", "numpy"}
 
 
 def test_every_public_name_resolves_in_a_fresh_interpreter():

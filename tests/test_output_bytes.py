@@ -5,7 +5,9 @@ and ``verify`` writes, and the one whose bytes the canonical encoder
 could most easily get wrong.  Each command runs as ``python -m
 pigeonpost.cli``, the entry the command line uses, on the reduction of
 ``data/three_sat.cnf`` (551 nodes, 1,108 demands) and on the plan that
-the all-true assignment certifies.
+the all-true assignment certifies.  The optimal solvers are pinned on the
+demo, where the bound ``max(m - 1, |S|, |D|)`` proves the coordinator plan
+optimal without a search.
 """
 
 import hashlib
@@ -17,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from pigeonpost.instances import demo_graph
 from pigeonpost.reductions import (
     parse_dimacs_cnf,
     reduce_3sat_to_twohop,
@@ -50,6 +53,18 @@ COMMANDS = {
         ("verify", "{graph}", "{plan}", "--mode", "multihop"),
         "29c976773042ac2bb72c0cd27a4d0d762cdecef7b2cbd7ad72e17976242892c1",
     ),
+    "solve-exact-twohop-demo": (
+        ("solve", "{demo}", "--mode", "twohop", "--algorithm", "exact"),
+        "32ee5e189da73aad5326239cbea227bc4355840a2b79abcc17ca0d4958c9ae04",
+    ),
+    "solve-exact-multihop-demo": (
+        ("solve", "{demo}", "--mode", "multihop", "--algorithm", "exact"),
+        "7edc1be4013c23cdf6d0728ff6d56ea21c97b0b2a4e64e31dc304cb5b64ebeb6",
+    ),
+    "solve-ilp-twohop-demo": (
+        ("solve", "{demo}", "--mode", "twohop", "--algorithm", "ilp"),
+        "d987d77d8b493d244f05869245072fe5490b19dec8215082cfcb51502b20c719",
+    ),
 }
 
 
@@ -66,7 +81,9 @@ def files(tmp_path_factory):
     graph.write_text(reduction.graph.to_json())
     plan = root / "plan.json"
     plan.write_text(satisfying_assignment_plan(formula, reduction, (True,) * 3).to_json())
-    return {"cnf": str(CNF), "graph": graph, "plan": plan}
+    demo = root / "demo.json"
+    demo.write_text(demo_graph().to_json())
+    return {"cnf": str(CNF), "graph": graph, "plan": plan, "demo": demo}
 
 
 def test_input_files_are_pinned(files):

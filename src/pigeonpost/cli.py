@@ -7,18 +7,24 @@ exact|ilp`` and ``export-lp``), a graph over
 random`` graph expected to have over ``2 * MAX_PARSED_NODES`` demands,
 3 unparseable input, 4 budget exhausted under ``--strict``.
 
-Run as ``python -m pigeonpost.cli``, the process pauses the cyclic
-garbage collector: it exits after one command, and the collector would
-only walk the parsed and emitted documents again and again.
+``main`` builds its argument parser once per process, on its first call,
+and reuses it for every later call; ``build_parser`` returns a fresh one.
+
+Both process entry points, ``python -m pigeonpost.cli`` and the
+``pigeonpost`` console script, run ``entry_point``, which pauses the cyclic
+garbage collector: the process exits after one command, and the collector
+would only walk the parsed and emitted documents again and again.
+``main`` leaves the collector alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import importlib.util
 import sys
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
 # Every module but demand and jsonutil is imported inside the commands that
 # use it, so the other commands do not pay for compiling and loading it:
@@ -300,9 +306,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    # argparse reads the streams and the terminal width when it prints, not
+    # when it is built, and no command changes the parser, so one serves
+    # every call.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
     except DemandGraphSizeError as exc:
@@ -316,6 +329,11 @@ def main(argv=None) -> int:
         return EXIT_PARSE
 
 
-if __name__ == "__main__":
+def entry_point() -> NoReturn:
+    """Run one command from ``sys.argv`` with the cyclic GC paused, then exit."""
     gc.disable()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry_point()

@@ -1,12 +1,27 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
 from pigeonpost import DemandGraph, UndirectedGraph, weakly_connected_components
 from pigeonpost.instances import demo_graph
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def fresh_python(*args: str) -> str:
+    """Stdout of a new interpreter run with ``args`` and this checkout's ``src``; it must exit 0."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 @pytest.fixture

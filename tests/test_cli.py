@@ -1,14 +1,22 @@
 import gc
+import importlib.util
 import json
+import os
 import sys
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
 from pigeonpost import DemandGraph, cli
-from pigeonpost.cli import main
+from pigeonpost.cli import VALID_ALGORITHMS, main
 from pigeonpost.instances import cycle_graph, demo_graph
+from pigeonpost.planners import plan_coordinator
 from pigeonpost.reductions import parse_undirected_graph
+
+from conftest import fresh_python
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture
@@ -246,9 +254,94 @@ def test_identical_invocations_are_byte_identical(demo_file, capsys):
 
 
 def test_main_leaves_the_garbage_collector_on(demo_file, capsys):
-    # Only the ``python -m pigeonpost.cli`` entry pauses it, for its one command.
+    # Only the process entry point pauses it, for its one command.
     assert run(capsys, "bounds", demo_file)[0] == 0
     assert gc.isenabled()
+
+
+# Runs one command through ``cli.entry_point`` (argv from ``sys.argv``) or
+# ``cli.main``, then prints its exit code, whether the collector was on at
+# each write, and whether it is on afterwards.
+RUN_ENTRY = """
+import gc, json, sys
+from pigeonpost import cli
+seen = []
+write = cli._write
+def recording_write(path, text):
+    seen.append(gc.isenabled())
+    write(path, text)
+cli._write = recording_write
+entry, sys.argv[1:] = sys.argv[1], sys.argv[2:]
+if entry == "entry_point":
+    try:
+        cli.entry_point()
+    except SystemExit as exc:
+        code = exc.code
+else:
+    code = cli.main(sys.argv[1:])
+print(json.dumps([code, seen, gc.isenabled()]))
+"""
+
+
+def test_entry_point_pauses_the_garbage_collector_and_main_does_not():
+    argv = ("gen", "demo", "-o", os.devnull)
+    assert json.loads(fresh_python("-c", RUN_ENTRY, "entry_point", *argv)) == [0, [False], False]
+    assert json.loads(fresh_python("-c", RUN_ENTRY, "main", *argv)) == [0, [True], True]
+    # The console script runs the same entry as ``python -m pigeonpost.cli``.
+    assert 'pigeonpost = "pigeonpost.cli:entry_point"' in (ROOT / "pyproject.toml").read_text()
+
+
+# Runs ``cli.main`` on each argv of a JSON list in this one interpreter,
+# then prints how many parsers were built and each call's exit code,
+# stdout and stderr.  COLUMNS fixes the width of the help text.
+RUN_SEQUENCE = """
+import contextlib, io, json, os, sys
+os.environ["COLUMNS"] = "80"
+from pigeonpost import cli
+build = cli.build_parser
+builds = []
+def counting_build():
+    builds.append(1)
+    return build()
+cli.build_parser = counting_build
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps([len(builds), results]))
+"""
+
+
+def test_the_shared_parser_leaks_nothing_between_calls(demo_file, tmp_path):
+    plan = tmp_path / "plan.json"
+    plan.write_text(plan_coordinator(demo_graph()).plan.to_json())
+    has_scipy = importlib.util.find_spec("scipy") is not None
+    sequence = [
+        ["solve"],
+        ["--help"],
+        ["solve", demo_file, "--mode", "twohop", "--algorithm", "exact", "--budget", "0"],
+        ["gen", "demo"],
+        ["bounds", demo_file],
+        *[
+            ["solve", demo_file, "--mode", mode, "--algorithm", algorithm]
+            for mode, algorithms in VALID_ALGORITHMS.items()
+            for algorithm in algorithms
+            if algorithm != "ilp" or has_scipy
+        ],
+        *[["verify", demo_file, str(plan), "--mode", mode] for mode in VALID_ALGORITHMS],
+    ]
+    builds, results = json.loads(fresh_python("-c", RUN_SEQUENCE, json.dumps(sequence)))
+    # One build, counted after the import: importing ``cli`` built none.
+    assert builds == 1
+    assert [code for code, _, _ in results[:3]] == [2, 0, 2]
+    for argv, result in zip(sequence, results):
+        assert json.loads(fresh_python("-c", RUN_SEQUENCE, json.dumps([argv]))) == [1, [result]], argv
+    assert cli.build_parser() is not cli.build_parser()
 
 
 def test_usage_error_exits_two(capsys):

@@ -7,17 +7,13 @@ loaded by other tests cannot hide an eager import.
 """
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
 from pigeonpost.instances import demo_graph
 from pigeonpost.planners import plan_coordinator
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+from conftest import fresh_python
 
 # Runs pigeonpost.cli.main on argv, then prints its exit code and the
 # pigeonpost, scipy and numpy modules loaded.
@@ -54,14 +50,6 @@ PUBLIC_NAMES = {
 SUBMODULES = {
     "demand", "exact", "flightplan", "ilp", "instances", "jsonutil", "planners", "reductions",
 }
-
-
-def fresh_python(*args: str) -> str:
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
 
 
 @pytest.fixture(scope="module")

@@ -4,14 +4,28 @@ Multihop: within one weakly connected component there is always an
 optimal solution in which exactly one pigeon flies at a time and each
 pigeon starts where the previous one landed, i.e. the flights form a
 single node walk.  A demand ``(u, v)`` is served by a walk exactly when
-``u`` occurs strictly before some occurrence of ``v``.  Disjoint
-components contribute independently, so the optimum is the sum over
-components of the shortest covering walk, found here by a uniform-cost
-search with an admissible distance bound over states
-``(current node, appeared set, satisfied demand set)``.  Each state is
-packed into one int with the satisfied set laid out by node pair, so a
-move costs one shift and a few masks, and the bound is updated from the
-parent's in O(1) instead of being recomputed over the unserved demands.
+``u`` occurs strictly before some occurrence of ``v``, that is when
+``first(u) < last(v)``.  Disjoint components contribute independently,
+so the optimum is the sum over components of the shortest covering
+walk, found here by a uniform-cost search with an admissible distance
+bound over states ``(current node, appeared set, satisfied demand
+set)``.  Each state is packed into one int with the satisfied set laid
+out by node pair, so a move costs one shift and a few masks, and the
+bound is updated from the parent's in O(1) instead of being recomputed
+over the unserved demands.
+
+The walk form also bounds a component of ``m`` nodes from both sides
+through its minimum directed feedback vertex set (DFVS) size ``tau``.
+Below: every node lies on a demand, so a covering walk visits all
+``m``.  For two nodes visited once, ``first = last``, so a demand
+between them runs forward in the walk; the nodes visited once are thus
+acyclic under the demands, and the repeated nodes form a DFVS.  A walk
+that repeats ``r >= tau`` nodes visits at least ``m + r`` times, which
+is ``m - 1 + r`` flights, and each of ``packing`` vertex-disjoint
+demand cycles holds a repeated node: a plan needs at least
+``m - 1 + tau >= m - 1 + packing`` flights.  Above: for any DFVS ``F``,
+the walk ``F``, a topological order of the other nodes, ``F`` again
+serves every demand in ``m - 1 + |F|`` flights (``fvs.dfvs_walk``).
 
 2-hop: no walk normal form exists, so the solver iteratively deepens
 over ordered flight sequences, pruning flights that make no progress and
@@ -20,17 +34,20 @@ the set of relay nodes already holding its data).
 
 Both solvers follow the policy of ``planners._search_below_coordinator``
 (2-hop over the whole graph, multihop per component): the coordinator
-plan is the incumbent, a count at the bound ``demand._flight_bound`` is
-proven without a search, and otherwise the search looks only for plans
-with fewer flights.  Failing to find one proves the incumbent optimal.
-The policy holds the solve's one budget: the searches spend from it and
-raise when it runs out, and the policy then keeps the incumbent, flagged
-as not proven.
+plan is the incumbent and ``demand._flight_bound`` the bound.  Multihop
+tightens both where they differ, with ``fvs``: the incumbent becomes the
+shorter of the coordinator plan and the greedy-DFVS walk, and the bound
+``max(m - 1 + packing, |S|, |D|)``.  A count at the bound is proven
+without a search, and otherwise the search looks only for plans with
+fewer flights.  Failing to find one proves the incumbent optimal.  The
+policy holds the solve's one budget: the DFVS bounds and the searches
+spend from it and raise when it runs out, and the policy then keeps the
+incumbent, flagged as not proven.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from heapq import heappop, heappush
 from typing import NamedTuple
 
@@ -41,6 +58,7 @@ from .planners import (  # SearchLimitError is re-exported for callers of this m
     PlannerResult,
     SearchLimitError,
     SearchLimits,
+    _BudgetExhausted,
     _Effort,
     _search_below_coordinator,
 )
@@ -59,7 +77,10 @@ def _min_covering_walk(
     Uniform-cost search (cost 1 per appended node) guided by a consistent
     lower bound: every not-yet-appeared node and every node that is the
     destination of an unserved demand still needs at least one append,
-    and one append adds exactly one node.
+    and one append adds exactly one node.  States pop in ascending ``f``,
+    so the search stops at the first ``f`` over ``max_flights``: a search
+    that finds no walk within the cap expands only the states whose
+    bound is within it.
 
     With ``m`` nodes in local ids, a state is one int
     ``satisfied << (m + cb) | appeared << cb | current`` with
@@ -111,6 +132,8 @@ def _min_covering_walk(
     goal: int | None = None
     while heap:
         f, g, _, key = heappop(heap)
+        if f > max_flights:
+            break  # f pops in ascending order, so every walk left is over the cap
         if seen[key][0] != g:
             continue
         unserved = full & ~key
@@ -118,8 +141,6 @@ def _min_covering_walk(
             goal = key
             break
         effort.spend()
-        if g >= max_flights:
-            continue
         current = key & current_mask
         appeared = (key >> cb) & all_nodes_mask
         base = key ^ current
@@ -150,22 +171,60 @@ def _min_covering_walk(
     return [nodes[i] for i in reversed(walk_local)]
 
 
+def _flights(walk: list[int]) -> list[Flight]:
+    return [Flight(a, b) for a, b in zip(walk, walk[1:])]
+
+
 def _search_multihop(
     part: DemandGraph, bound: int, cap: int, effort: _Effort
 ) -> list[Flight] | None:
     nodes = sorted({v for demand in part.demands for v in demand})
     walk = _min_covering_walk(nodes, part.demands, effort, cap)
-    return None if walk is None else [Flight(a, b) for a, b in zip(walk, walk[1:])]
+    return None if walk is None else _flights(walk)
+
+
+def _tighten_multihop(
+    part: DemandGraph, incumbent: Sequence[Flight], bound: int, effort: _Effort
+) -> tuple[Sequence[Flight], int]:
+    """The shorter of ``incumbent`` and the greedy-DFVS walk (``incumbent``
+    on a tie), and ``bound`` raised to ``m - 1`` plus a cycle packing.
+    When the budget runs out during the packing, the exception carries
+    the incumbent chosen."""
+    from . import fvs  # only the multihop solves of this module use it
+
+    nodes = sorted({v for demand in part.demands for v in demand})
+    local = {v: i for i, v in enumerate(nodes)}
+    succ = [0] * len(nodes)
+    pred = [0] * len(nodes)
+    for u, v in part.demands:
+        succ[local[u]] |= 1 << local[v]
+        pred[local[v]] |= 1 << local[u]
+    dfvs = fvs.greedy_dfvs(succ, pred, effort.spend)
+    if len(nodes) - 1 + dfvs.bit_count() < len(incumbent):
+        incumbent = _flights([nodes[i] for i in fvs.dfvs_walk(succ, pred, dfvs)])
+    if len(incumbent) > bound:
+        try:
+            packing = fvs.cycle_packing(succ, pred, effort.spend)
+        except _BudgetExhausted:
+            raise _BudgetExhausted(incumbent) from None
+        bound = max(bound, len(nodes) - 1 + len(packing))
+    return incumbent, bound
 
 
 def optimal_multihop(g: DemandGraph, limits: SearchLimits = SearchLimits()) -> PlannerResult:
     """Provably minimal multihop plan, solved per component.
 
-    The search of each component looks only for walks shorter than its
-    coordinator plan.  Components whose search exhausts the budget keep
-    the coordinator plan and the result is flagged as not proven optimal.
+    Each component's incumbent is the shorter of its coordinator plan
+    and its greedy-DFVS walk, and its bound is
+    ``max(m - 1 + packing, |S|, |D|)``; where they meet, the component is
+    proven with no search.  Otherwise the search looks only for walks
+    shorter than the incumbent.  Components whose search exhausts the
+    budget keep the incumbent and the result is flagged as not proven
+    optimal.
     """
-    return _search_below_coordinator(g, "multihop", "exact", limits, _search_multihop)
+    return _search_below_coordinator(
+        g, "multihop", "exact", limits, _search_multihop, _tighten_multihop
+    )
 
 
 class _TwoHopSearch:
@@ -280,8 +339,9 @@ class OptimalityCertificate(NamedTuple):
 
 
 def certify(g: DemandGraph, result: PlannerResult) -> OptimalityCertificate:
-    """Re-verify a proven-optimal result and re-check it against the bound
-    its solve proved against, ``demand._flight_bound``.
+    """Re-verify a proven-optimal result and re-check it against
+    ``demand._flight_bound``, the bound every solve starts from (exact
+    multihop may have proven against its tighter packing bound).
 
     An invalid certificate signals a solver bug: either the plan fails
     its own verifier or the claimed count undercuts the bound.

@@ -222,37 +222,74 @@ def verify_twohop(g: DemandGraph, plan: FlightPlan) -> VerificationReport:
 
 
 def verify_multihop(g: DemandGraph, plan: FlightPlan) -> VerificationReport:
-    """Time-respecting reachability via a forward sweep over the slots.
+    """Time-respecting reachability: a forward sweep over the slots, then
+    a backward one for the witnesses.
 
-    ``carried[v]`` is the set of origin nodes whose information is
-    available at ``v`` so far; a node absent from it holds only its own.
-    Each flight adds the origins its remote node has and its home node
-    lacks.  Information may wait at a node indefinitely, so the sets only
-    ever grow, and their total size is at most ``n`` plus the number of
-    arrivals.
+    Only the demands' sources are tracked as origins, bit ``i`` of a mask
+    standing for the ``i``-th smallest.  ``carried[v]`` is the mask of
+    origins whose information is available at ``v`` so far, at first a
+    source's own bit and nothing for other nodes.  Information may wait
+    at a node indefinitely, so each flight ORs its remote node's mask
+    into its home node's, and ``delivered[slot]`` keeps the bits that
+    this adds: the origins whose information first lands at the home
+    node in that slot.
+
+    A served demand's witness is the chain of first arrivals of its
+    source's information, back from its destination.  The backward sweep
+    records exactly the arrivals on those chains: ``needed[v]`` holds the
+    origins whose first arrival at ``v`` a chain still needs, and the
+    flight that delivers one needs it at its remote node in turn, at an
+    earlier slot.  Memory is the masks plus one record per (node, origin)
+    pair on a witness chain.
     """
     _check_endpoints(g, plan)
-    carried: dict[int, set[int]] = {}
-    # (node, origin) -> (slot, predecessor node), set when info first lands
-    arrival: dict[tuple[int, int], tuple[int, int]] = {}
-    for slot, (remote, home) in enumerate(plan.flights):
-        have = carried.setdefault(home, {home})
-        new = carried.get(remote, {remote}) - have
+    index = {v: i for i, v in enumerate(sorted({src for src, _ in g.demands}))}
+    carried = {v: 1 << i for v, i in index.items()}
+    delivered: list[int] = []
+    for remote, home in plan.flights:
+        new = carried.get(remote, 0)
         if new:
-            have |= new
-            for origin in new:
-                arrival[(home, origin)] = (slot, remote)
+            have = carried.get(home, 0)
+            new &= ~have
+            if new:
+                carried[home] = have | new
+        delivered.append(new)
+
+    # A demand that is not served is never hit below, so it needs no test.
+    needed: dict[int, int] = {}
+    for src, dst in g.demands:
+        needed[dst] = needed.get(dst, 0) | 1 << index[src]
+    # (node, origin index) -> (slot, predecessor node) of the first arrival
+    arrival: dict[tuple[int, int], tuple[int, int]] = {}
+    for slot in range(len(delivered) - 1, -1, -1):
+        new = delivered[slot]
+        if not new:
+            continue
+        remote, home = plan.flights[slot]
+        hits = new & needed.get(home, 0)
+        if not hits:
+            continue
+        needed[home] ^= hits
+        # A chain ends at its source.
+        onward = hits & ~(1 << index[remote]) if remote in index else hits
+        if onward:
+            needed[remote] = needed.get(remote, 0) | onward
+        while hits:
+            origin = hits.bit_length() - 1
+            arrival[(home, origin)] = (slot, remote)
+            hits ^= 1 << origin
 
     witnesses: dict[tuple[int, int], Witness | None] = {}
     for src, dst in g.demands:
-        if src not in carried.get(dst, ()):
+        origin = index[src]
+        if (dst, origin) not in arrival:
             witnesses[(src, dst)] = None
             continue
         slots: list[int] = []
         nodes = [dst]
         node = dst
         while node != src:
-            slot, predecessor = arrival[(node, src)]
+            slot, predecessor = arrival[(node, origin)]
             slots.append(slot)
             nodes.append(predecessor)
             node = predecessor

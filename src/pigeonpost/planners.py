@@ -15,7 +15,8 @@
 ``SearchLimits`` holds the size and effort caps shared by the exact and
 ILP solvers, which both import this module.  Both also share one solve
 policy, ``_search_below_coordinator``: the coordinator plan is the
-incumbent, a count at the bound ``demand._flight_bound`` is returned as
+incumbent and ``demand._flight_bound`` the bound, both of which a caller
+may tighten (exact multihop does), a count at the bound is returned as
 proven optimal with nothing searched, and otherwise the solver searches only
 for plans with fewer flights, keeping the incumbent when it finds none.
 The policy holds the solve's one budget, ``_Effort``: an expansion count
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from itertools import chain
 from math import gcd
 from typing import TYPE_CHECKING, NamedTuple
@@ -206,10 +207,10 @@ def plan_cycle(g: DemandGraph) -> PlannerResult:
 
 
 class _BudgetExhausted(Exception):
-    """The solve's budget ran out.  ``plan`` holds the flights of a plan
-    below the cap found before it did, or None."""
+    """The solve's budget ran out.  ``plan`` holds the flights of the best
+    plan of the part found before it did, or None to keep its incumbent."""
 
-    def __init__(self, plan: list[Flight] | None = None):
+    def __init__(self, plan: Sequence[Flight] | None = None):
         super().__init__()
         self.plan = plan
 
@@ -259,6 +260,9 @@ def _search_below_coordinator(
     algorithm: str,
     limits: SearchLimits,
     search: Callable[[DemandGraph, int, int, _Effort], list[Flight] | None],
+    tighten: Callable[
+        [DemandGraph, Sequence[Flight], int, _Effort], tuple[Sequence[Flight], int]
+    ] | None = None,
 ) -> PlannerResult:
     """The solve policy of the exact and ILP planners.
 
@@ -267,11 +271,15 @@ def _search_below_coordinator(
     ``demand._flight_bound``, the one bound of every regime.  The parts
     come from ``_checked_parts``, so a part over the size limits is
     refused before any is searched; ``export-lp`` applies the same check.
-    Each part's incumbent is its coordinator plan.  When that meets the
-    bound it is optimal and nothing is searched.  Otherwise
+    Each part's incumbent is its coordinator plan.  When that is above
+    the bound and the caller passes ``tighten``,
+    ``tighten(part, incumbent, bound, effort)`` returns an incumbent no
+    longer and a bound no lower (exact multihop: the DFVS walk and the
+    cycle-packing bound).  When the incumbent meets the bound it is
+    optimal and nothing is searched.  Otherwise
     ``search(part, bound, cap, effort)`` returns the flights of a plan
     with at most ``cap = count - 1`` flights, or None when no such plan
-    exists, or raises ``_BudgetExhausted`` when the solve's one budget
+    exists.  Both raise ``_BudgetExhausted`` when the solve's one budget
     ``effort`` runs out.  The part then keeps its incumbent, or the plan
     the exception carries, unproven; later parts are still searched with
     what is left.  The result is proven when every part is.
@@ -281,15 +289,17 @@ def _search_below_coordinator(
     flights: list[Flight] = []
     proven = True
     for part, bound in parts:
-        incumbent = plan_coordinator(part)
+        incumbent: Sequence[Flight] = plan_coordinator(part).plan.flights
         found = None
-        if incumbent.count > bound:
-            try:
-                found = search(part, bound, incumbent.count - 1, effort)
-            except _BudgetExhausted as exhausted:
-                found = exhausted.plan
-                proven = False
-        flights.extend(incumbent.plan.flights if found is None else found)
+        try:
+            if tighten is not None and len(incumbent) > bound:
+                incumbent, bound = tighten(part, incumbent, bound, effort)
+            if len(incumbent) > bound:
+                found = search(part, bound, len(incumbent) - 1, effort)
+        except _BudgetExhausted as exhausted:
+            found = exhausted.plan
+            proven = False
+        flights.extend(incumbent if found is None else found)
     return make_result(g, flights, mode, algorithm, proven_optimal=proven)
 
 

@@ -20,6 +20,8 @@ from pigeonpost import (
 )
 from pigeonpost import exact, ilp, weakly_connected_components
 from pigeonpost.demand import _endpoint_bound, _flight_bound
+from pigeonpost.fvs import cycle_packing
+from pigeonpost.planners import _Effort
 from pigeonpost.instances import cycle_graph, demo_graph, random_graph, star_graph
 
 from conftest import random_demand_graph
@@ -50,12 +52,34 @@ def test_multihop_rejects_oversized_component():
         optimal_multihop(g, SearchLimits(max_nodes=4))
 
 
-def test_multihop_budget_falls_back_to_coordinator_plan():
-    g = cycle_graph(6)
-    result = optimal_multihop(g, SearchLimits(expansion_budget=2))
+# Coordinator plan 12 flights; greedy DFVS {0, 1, 2, 3, 6} (5 picks and
+# 5 redundancy checks) and its walk of 11; packing bound 6 + 3 = 9 (3
+# searches); optimum 10, which the A* takes 3,291 expansions to find.
+FALLBACK_GRAPH = random_graph(7, 0.6, seed=35)
+FALLBACK_WALK = FlightPlan.from_pairs(
+    zip([0, 1, 2, 3, 6, 4, 5, 0, 1, 2, 3, 6], [1, 2, 3, 6, 4, 5, 0, 1, 2, 3, 6])
+)
+
+
+def test_multihop_budget_falls_back_to_the_incumbent():
+    g = FALLBACK_GRAPH
+    result = optimal_multihop(g, SearchLimits(expansion_budget=100))
     assert not result.proven_optimal
-    assert result.plan == plan_coordinator(g).plan
+    assert result.plan == FALLBACK_WALK
+    assert plan_coordinator(g).count == 12
     assert verify_multihop(g, result.plan).satisfied
+
+
+@pytest.mark.parametrize(
+    "budget, walk", [(9, False), (10, True)], ids=["in-greedy", "in-packing"]
+)
+def test_multihop_budget_run_out_in_the_dfvs_core_keeps_the_best_plan_so_far(budget, walk):
+    # The greedy DFVS spends 10; a budget that ends during the packing
+    # keeps the walk the greedy DFVS gave.
+    g = FALLBACK_GRAPH
+    result = optimal_multihop(g, SearchLimits(expansion_budget=budget))
+    assert not result.proven_optimal
+    assert result.plan == (FALLBACK_WALK if walk else plan_coordinator(g).plan)
 
 
 def multihop_optima_by_bfs(n: int) -> dict[int, int]:
@@ -318,6 +342,29 @@ def test_multihop_matches_astar_oracle_on_larger_graphs(n, count):
         assert result.count == expected, (seed, g.sorted_demands())
 
 
+def packing_bound(g: DemandGraph) -> int:
+    """The bound exact multihop proves against: over the components,
+    ``max(m - 1 + packing, |S|, |D|)`` with ``packing`` the number of
+    vertex-disjoint cycles ``fvs.cycle_packing`` finds."""
+    total = 0
+    for comp, demands in zip(*weakly_connected_components(g)):
+        local = {v: i for i, v in enumerate(sorted(comp))}
+        succ, pred = [0] * len(comp), [0] * len(comp)
+        for u, v in demands:
+            succ[local[u]] |= 1 << local[v]
+            pred[local[v]] |= 1 << local[u]
+        cycles = cycle_packing(succ, pred, lambda: None)
+        total += max(len(comp) - 1 + len(cycles), _endpoint_bound(demands))
+    return total
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_packing_bound_holds_against_the_astar_oracle(n):
+    for seed in range(100):
+        g = oracle_sample(n, seed)
+        assert packing_bound(g) <= multihop_optimum_by_astar(g), (seed, g.sorted_demands())
+
+
 @pytest.mark.parametrize(
     "seeds", [range(5), pytest.param(range(5, 35), marks=pytest.mark.slow)], ids=["5", "30"]
 )
@@ -359,15 +406,17 @@ def test_multihop_component_at_the_bound_is_not_searched(monkeypatch, g):
 
 
 def test_multihop_incumbent_is_proven_when_no_shorter_walk_exists(monkeypatch):
-    # Coordinator plan 1->0, 2->0, 0->1, 0->3: 4 flights, the optimum,
-    # above the bound max(m - 1, |S|, |D|) = 3.
-    g = DemandGraph.from_pairs(4, [(0, 1), (1, 0), (2, 0), (2, 3)])
+    # The bidirected triangle {0, 2, 3} plus 0 -> 1 -> 3: every DFVS holds
+    # two triangle nodes, but any two cycles share a node.  The greedy
+    # DFVS {0, 2} gives the walk 0 2 1 3 0 2 of 5 flights, the optimum,
+    # under the coordinator's 6 and above the packing bound 3 + 1 = 4.
+    g = DemandGraph.from_pairs(4, [(0, 2), (2, 0), (0, 3), (3, 0), (2, 3), (3, 2), (0, 1), (1, 3)])
     caps = record_walk_searches(monkeypatch)
     result = optimal_multihop(g)
-    assert caps == [3]
+    assert caps == [4]
     assert result.proven_optimal
-    assert result.plan == plan_coordinator(g).plan
-    assert result.count == 4
+    assert result.plan == FlightPlan.from_pairs([(0, 2), (2, 1), (1, 3), (3, 0), (0, 2)])
+    assert plan_coordinator(g).count == 6
 
 
 def test_multihop_oversized_component_is_refused_before_any_search(monkeypatch):
@@ -381,42 +430,58 @@ def test_multihop_oversized_component_is_refused_before_any_search(monkeypatch):
     assert caps == []
 
 
-# Smallest expansion budget that proves each instance.  The counts were
-# measured on the tuple-keyed search that preceded the packed-int state;
-# a change in them means the search expands other states, not just that
-# it got faster or slower.  None: the coordinator plan meets the bound,
-# so the instance is decided with nothing searched.
+def walk_search(g: DemandGraph, cap: int) -> tuple[list[int] | None, int]:
+    """The A*'s walk of ``g``'s one component within ``cap`` flights, and
+    the expansions it took."""
+    limits = SearchLimits()
+    effort = _Effort(limits)
+    nodes = sorted({v for demand in g.demands for v in demand})
+    walk = exact._min_covering_walk(nodes, g.demands, effort, cap)
+    return walk, limits.expansion_budget - effort.remaining
+
+
+# Expansions of the A* at the coordinator's cap.  The counts were measured
+# on the tuple-keyed search that preceded the packed-int state; a change in
+# them means the search expands other states, not just that it got faster
+# or slower.  The demo's coordinator plan meets the bound, so the search
+# below it stops before its first expansion.
 @pytest.mark.parametrize(
-    ("g", "budget"),
+    ("g", "expansions"),
     [
-        (demo_graph(), None),
+        (demo_graph(), 0),
         (cycle_graph(6), 36),
         (random_graph(7, 0.6, seed=1), 4163),
     ],
     ids=["demo", "cycle6", "dense7"],
 )
-def test_multihop_expansion_count_is_pinned(g, budget):
-    coordinator = plan_coordinator(g).plan
-    if budget is None:
-        decided = optimal_multihop(g, SearchLimits(expansion_budget=1))
-        assert decided.proven_optimal
-        assert decided.plan == coordinator
-        return
-    proven = optimal_multihop(g, SearchLimits(expansion_budget=budget))
-    assert proven.proven_optimal
-    fallback = optimal_multihop(g, SearchLimits(expansion_budget=budget - 1))
-    assert not fallback.proven_optimal
-    assert fallback.plan == coordinator
+def test_multihop_expansion_count_is_pinned(g, expansions):
+    walk, spent = walk_search(g, plan_coordinator(g).count - 1)
+    assert spent == expansions
+    if walk is None:
+        assert optimal_multihop(g).count == plan_coordinator(g).count
+    else:
+        assert len(walk) - 1 == optimal_multihop(g).count
 
 
-def test_multihop_time_budget_falls_back_to_coordinator_plan():
-    # Proving this graph takes 4,163 expansions (pinned above), and the
-    # clock is read at least every 1,024, so a deadline already passed
-    # stops the search first.
-    g = random_graph(7, 0.6, seed=1)
+@pytest.mark.parametrize(
+    ("g", "cap", "expansions"),
+    [(cycle_graph(6), 5, 0), (random_graph(7, 0.6, seed=1), 9, 343)],
+    ids=["cycle6", "dense7"],
+)
+def test_multihop_search_below_the_optimum_stops_at_its_cap(g, cap, expansions):
+    # A cap one below the optimum (6 and 10): the search only proves that
+    # no walk fits, and stops at the first state whose bound is over the
+    # cap.  Expanding every state below the cap took 642 and 434,190.
+    assert walk_search(g, cap) == (None, expansions)
+
+
+def test_multihop_time_budget_falls_back_to_the_incumbent():
+    # The clock is read at least every 1,024 expansions, and the search
+    # takes 3,291, so a deadline already passed stops it first.
+    g = FALLBACK_GRAPH
     result = optimal_multihop(g, SearchLimits(time_budget=1e-9))
     assert not result.proven_optimal
-    assert result.plan == plan_coordinator(g).plan
+    assert result.plan == FALLBACK_WALK
 
 
 def test_twohop_path_demands_direct_is_optimal():

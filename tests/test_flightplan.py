@@ -347,3 +347,62 @@ def test_multihop_memory_is_linear_at_the_parse_cap():
     assert report.satisfied
     assert report.witnesses[(0, n - 1)] == PathWitness(slots=(0, 1), nodes=(0, 1, n - 1))
     assert peak < 16 * 2**20, peak
+
+
+def multihop_per_pair(g: DemandGraph, plan: FlightPlan) -> VerificationReport:
+    """The multihop verifier as it was: one forward sweep over origin sets,
+    recording a first arrival for every (node, origin) pair the plan
+    reaches, whether or not a demand asks for it."""
+    carried: dict[int, set[int]] = {}
+    arrival: dict[tuple[int, int], tuple[int, int]] = {}
+    for slot, (remote, home) in enumerate(plan.flights):
+        have = carried.setdefault(home, {home})
+        new = carried.get(remote, {remote}) - have
+        have |= new
+        for origin in new:
+            arrival[(home, origin)] = (slot, remote)
+    witnesses = {}
+    for src, dst in g.demands:
+        if src not in carried.get(dst, ()):
+            witnesses[(src, dst)] = None
+            continue
+        slots, nodes = [], [dst]
+        while nodes[-1] != src:
+            slot, predecessor = arrival[(nodes[-1], src)]
+            slots.append(slot)
+            nodes.append(predecessor)
+        witnesses[(src, dst)] = PathWitness(tuple(reversed(slots)), tuple(reversed(nodes)))
+    return VerificationReport("multihop", plan.count, witnesses)
+
+
+def test_multihop_matches_the_per_pair_version_on_seeded_plans():
+    chains = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        n = rng.randint(2, 12)
+        pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+        g = DemandGraph.from_pairs(n, rng.sample(pairs, rng.randint(1, len(pairs))))
+        plan = FlightPlan.from_pairs(rng.choice(pairs) for _ in range(rng.randint(0, 4 * n)))
+        report = verify_multihop(g, plan)
+        assert report.to_json() == multihop_per_pair(g, plan).to_json(), seed
+        chains += sum(w is not None and len(w.slots) > 2 for w in report.witnesses.values())
+    assert chains >= 300  # the plans relay over several hops, not only one or two
+
+
+def test_multihop_memory_of_a_gather_and_scatter_plan():
+    # k sources fly to hub 0, which then flies to k destinations: the plan
+    # reaches k * k (node, origin) pairs, of which k are on a witness chain.
+    k = 3000
+    g = DemandGraph.from_pairs(2 * k + 1, [(i, k + i) for i in range(1, k + 1)])
+    plan = FlightPlan.from_pairs(
+        [(i, 0) for i in range(1, k + 1)] + [(0, k + i) for i in range(1, k + 1)]
+    )
+    tracemalloc.start()
+    try:
+        report = verify_multihop(g, plan)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.satisfied
+    assert report.witnesses[(1, k + 1)] == PathWitness(slots=(0, k), nodes=(1, 0, k + 1))
+    assert peak < 16 * 2**20, peak

@@ -1,0 +1,110 @@
+"""The DFVS bounds of ``fvs`` against a minimum DFVS found by subset enumeration."""
+
+import random
+from itertools import combinations, permutations
+
+import pytest
+
+from pigeonpost import DemandGraph, FlightPlan, verify_multihop
+from pigeonpost.fvs import cycle_packing, dfvs_walk, greedy_dfvs
+
+
+def digraph(n: int, arcs) -> tuple[list[int], list[int]]:
+    succ, pred = [0] * n, [0] * n
+    for u, v in arcs:
+        succ[u] |= 1 << v
+        pred[v] |= 1 << u
+    return succ, pred
+
+
+def acyclic(nodes: set[int], arcs) -> bool:
+    """Kahn's algorithm on the digraph that ``arcs`` induce on ``nodes``."""
+    inner = [(u, v) for u, v in arcs if u in nodes and v in nodes]
+    indegree = {v: 0 for v in nodes}
+    for _, v in inner:
+        indegree[v] += 1
+    ready = [v for v in nodes if not indegree[v]]
+    removed = 0
+    while ready:
+        u = ready.pop()
+        removed += 1
+        for a, v in inner:
+            if a == u:
+                indegree[v] -= 1
+                if not indegree[v]:
+                    ready.append(v)
+    return removed == len(nodes)
+
+
+def min_dfvs_size(n: int, arcs) -> int:
+    for size in range(n + 1):
+        for picked in combinations(range(n), size):
+            if acyclic(set(range(n)) - set(picked), arcs):
+                return size
+    raise AssertionError("removing every node leaves no cycle")
+
+
+def members(mask: int) -> set[int]:
+    return {v for v in range(mask.bit_length()) if (mask >> v) & 1}
+
+
+def never_spends():
+    raise AssertionError("an acyclic digraph needs no pick and no search")
+
+
+def check_bounds(n: int, arcs) -> None:
+    """``packing <= tau <= |greedy|`` on one digraph, and the greedy walk
+    serves every arc in ``n - 1 + |greedy|`` flights."""
+    arcs = sorted(set(arcs))
+    succ, pred = digraph(n, arcs)
+    spent = []
+    dfvs = greedy_dfvs(succ, pred, lambda: spent.append(1))
+    cycles = cycle_packing(succ, pred, lambda: spent.append(1))
+    tau = min_dfvs_size(n, arcs)
+    assert len(cycles) <= tau <= dfvs.bit_count(), arcs
+    assert acyclic(set(range(n)) - members(dfvs), arcs), arcs
+    packed = 0
+    for cycle in cycles:
+        assert not cycle & packed, arcs  # vertex-disjoint
+        assert not acyclic(members(cycle), arcs), arcs  # holds a cycle
+        packed |= cycle
+    assert bool(spent) == bool(tau), arcs
+
+    walk = dfvs_walk(succ, pred, dfvs)
+    assert sorted(walk) == sorted(list(range(n)) + sorted(members(dfvs)))
+    plan = FlightPlan.from_pairs(zip(walk, walk[1:]))
+    assert plan.count == n - 1 + dfvs.bit_count()
+    assert verify_multihop(DemandGraph.from_pairs(n, arcs), plan).satisfied, arcs
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_bounds_on_every_digraph_of_at_most_four_nodes(n):
+    pairs = list(permutations(range(n), 2))
+    for mask in range(1 << len(pairs)):
+        check_bounds(n, [p for i, p in enumerate(pairs) if (mask >> i) & 1])
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_bounds_on_seeded_digraphs(n):
+    for seed in range(60):
+        rng = random.Random(seed)
+        p = rng.choice([0.2, 0.3, 0.4, 0.5, 0.7])
+        check_bounds(n, [(a, b) for a, b in permutations(range(n), 2) if rng.random() < p])
+
+
+def test_greedy_drops_the_picks_the_others_make_redundant():
+    # Every node has in-degree x out-degree 2, so node 0 is picked first;
+    # the cycle 1 -> 2 -> 3 -> 1 left then gets node 1, which lies on
+    # every cycle, so node 0 is dropped again.
+    arcs = [(0, 1), (0, 3), (1, 2), (2, 0), (2, 3), (3, 1)]
+    succ, pred = digraph(4, arcs)
+    spent = []
+    assert greedy_dfvs(succ, pred, lambda: spent.append(1)) == 1 << 1
+    assert len(spent) == 4  # two picks, two redundancy checks
+
+
+def test_acyclic_digraph_spends_nothing():
+    succ, pred = digraph(4, [(0, 1), (1, 2), (0, 3), (3, 2)])
+    assert greedy_dfvs(succ, pred, never_spends) == 0
+    assert cycle_packing(succ, pred, never_spends) == []
+    assert dfvs_walk(succ, pred, 0) == [0, 1, 3, 2]

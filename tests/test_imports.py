@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from pigeonpost.instances import demo_graph
+from pigeonpost.instances import cycle_graph, demo_graph
 from pigeonpost.planners import plan_coordinator
 
 from conftest import fresh_python
@@ -59,7 +59,11 @@ def files(tmp_path_factory):
     graph.write_text(demo_graph().to_json())
     plan = root / "plan.json"
     plan.write_text(plan_coordinator(demo_graph()).plan.to_json())
-    return {"graph": str(graph), "plan": str(plan)}
+    # Its coordinator plan (4 flights) is above the bound (3), so an exact
+    # multihop solve builds the DFVS incumbent and bound.
+    cycle = root / "cycle3.json"
+    cycle.write_text(cycle_graph(3).to_json())
+    return {"graph": str(graph), "plan": str(plan), "cycle": str(cycle)}
 
 
 def cli_modules(*argv: str) -> tuple[int, set[str]]:
@@ -95,8 +99,12 @@ PLAN_MODULES = {"pigeonpost.flightplan", "pigeonpost.planners"}
         (("gen", "random", "--n", "8"), PLAN_MODULES),
         (("bounds", "{graph}"), PLAN_MODULES),
         (("verify", "{graph}", "{plan}", "--mode", "multihop"), {"pigeonpost.planners"}),
+        (("solve", "{cycle}", "--mode", "twohop", "--algorithm", "exact"), {"pigeonpost.fvs"}),
+        (("solve", "{cycle}", "--mode", "multihop", "--algorithm", "ilp"), {"pigeonpost.fvs"}),
+        (("solve", "{cycle}", "--mode", "multihop", "--algorithm", "cycle"), {"pigeonpost.fvs"}),
     ],
-    ids=["gen", "gen-random", "bounds", "verify"],
+    ids=["gen", "gen-random", "bounds", "verify", "solve-twohop-exact", "solve-multihop-ilp",
+         "solve-multihop-cycle"],
 )
 def test_commands_load_no_module_they_do_not_use(files, argv, unused):
     # Each module compiles from source in a process that writes no .pyc
@@ -150,6 +158,12 @@ def test_exact_solve_loads_only_the_exact_solver(files):
     code, modules = cli_modules("solve", files["graph"], "--mode", "multihop", "--algorithm", "exact")
     assert code == 0
     assert modules & SOLVER_MODULES == {"pigeonpost.exact"}
+
+
+def test_multihop_exact_solve_loads_the_dfvs_core(files):
+    code, modules = cli_modules("solve", files["cycle"], "--mode", "multihop", "--algorithm", "exact")
+    assert code == 0
+    assert modules & (SOLVER_MODULES | {"pigeonpost.fvs"}) == {"pigeonpost.exact", "pigeonpost.fvs"}
 
 
 @pytest.mark.parametrize(

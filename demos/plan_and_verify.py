@@ -6,7 +6,6 @@ everything there first beats flying each demand directly.
 """
 
 from pigeonpost import (
-    approximation_report,
     lower_bound,
     plan_coordinator,
     plan_cycle,
@@ -44,10 +43,9 @@ def main():
     print("breeding counts:", dict(plan_stats(hub.plan).breeding_counts))
     print()
 
-    summary = approximation_report(g, hub)
     print(
-        f"coordinator uses {summary.count} vs lower bound {summary.lower_bound} "
-        f"(ratio {summary.ratio})"
+        f"coordinator uses {hub.count} vs lower bound {hub.lower_bound} "
+        f"(ratio {hub.to_json_dict()['ratio']})"
     )
 
 

@@ -62,11 +62,9 @@ _EXPORTS = {
     "instances": ("cycle_graph", "demo_graph", "random_graph", "star_graph"),
     "jsonutil": (),
     "planners": (
-        "ApproximationReport",
         "PlannerResult",
         "SearchLimitError",
         "SearchLimits",
-        "approximation_report",
         "plan_coordinator",
         "plan_cycle",
         "plan_singlehop",

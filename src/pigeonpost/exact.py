@@ -42,7 +42,8 @@ without a search, and otherwise the search looks only for plans with
 fewer flights.  Failing to find one proves the incumbent optimal.  The
 policy holds the solve's one budget: the DFVS bounds and the searches
 spend from it and raise when it runs out, and the policy then keeps the
-incumbent, flagged as not proven.
+incumbent, flagged as not proven.  The result's ``proof`` records each
+part's bound and basis, and ``certify`` checks the plan against them.
 """
 
 from __future__ import annotations
@@ -326,11 +327,16 @@ def optimal_twohop(g: DemandGraph, limits: SearchLimits = SearchLimits()) -> Pla
 
 
 class OptimalityCertificate(NamedTuple):
-    """Machine-checkable record that a result is verified and bound-consistent."""
+    """Machine-checkable record that a result is verified and bound-consistent.
+
+    ``lower_bound`` is the sum of the bounds in the result's ``proof``,
+    and ``basis`` lists each part's basis, in part order.
+    """
 
     mode: str
     count: int
     lower_bound: int
+    basis: tuple[str, ...]
     tight: bool
     valid: bool
 
@@ -339,22 +345,28 @@ class OptimalityCertificate(NamedTuple):
 
 
 def certify(g: DemandGraph, result: PlannerResult) -> OptimalityCertificate:
-    """Re-verify a proven-optimal result and re-check it against
-    ``demand._flight_bound``, the bound every solve starts from (exact
-    multihop may have proven against its tighter packing bound).
+    """Re-verify a proven-optimal result against the bound its solve
+    proved against, the sum of its ``proof`` bounds.
 
-    An invalid certificate signals a solver bug: either the plan fails
-    its own verifier or the claimed count undercuts the bound.
+    The certificate is valid when the plan passes its verifier and
+    ``count >= bound >= demand._flight_bound``.  The recomputed
+    ``_flight_bound`` is a floor the proof's bound must reach, so a
+    result built without a solve (an empty ``proof``) cannot certify
+    itself unless the graph has no demands.  An invalid certificate
+    signals a solver bug: the plan fails its own verifier, the count
+    undercuts the proven bound, or the proof's bound undercuts the
+    bound every solve starts from.
     """
     if not result.proven_optimal:
         raise ValueError("certificates are only issued for proven-optimal results")
-    bound = _flight_bound(*weakly_connected_components(g))
+    bound = sum(part_bound for _, part_bound in result.proof)
+    floor = _flight_bound(*weakly_connected_components(g))
     report = verify(result.mode, g, result.plan)
-    valid = report.satisfied and result.count >= bound
     return OptimalityCertificate(
         mode=result.mode,
         count=result.count,
         lower_bound=bound,
+        basis=tuple(basis for basis, _ in result.proof),
         tight=result.count == bound,
-        valid=valid,
+        valid=report.satisfied and result.count >= bound >= floor,
     )

@@ -19,10 +19,13 @@ incumbent and ``demand._flight_bound`` the bound, both of which a caller
 may tighten (exact multihop does), a count at the bound is returned as
 proven optimal with nothing searched, and otherwise the solver searches only
 for plans with fewer flights, keeping the incumbent when it finds none.
-The policy holds the solve's one budget, ``_Effort``: an expansion count
-and a deadline ``SearchLimits.time_budget`` seconds away, 60 by default
-and never absent (``math.inf`` for none).  It is the only place that
-handles the budget running out.
+The policy records, per part, the bound it proved against and what
+decided the count; the result carries that as ``PlannerResult.proof``,
+which ``exact.certify`` reads.  The policy holds the solve's one budget,
+``_Effort``: an expansion count and a deadline
+``SearchLimits.time_budget`` seconds away, 60 by default and never absent
+(``math.inf`` for none).  It is the only place that handles the budget
+running out.
 """
 
 from __future__ import annotations
@@ -32,14 +35,11 @@ from collections import Counter
 from collections.abc import Callable, Sequence
 from itertools import chain
 from math import gcd
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .demand import DemandGraph, _endpoint_bound, _flight_bound, weakly_connected_components
 from .flightplan import Flight, FlightPlan
 from .jsonutil import canonical_dumps
-
-if TYPE_CHECKING:  # fractions loads decimal and numbers; imported where a ratio is built
-    from fractions import Fraction
 
 
 class SearchLimitError(ValueError):
@@ -98,8 +98,13 @@ class PlannerResult(NamedTuple):
     """A plan plus the bookkeeping needed to judge it.
 
     ``mode`` is the routing regime the plan is valid for.
+    ``lower_bound`` is ``max(|S|, |D|)``, the paper's bound for the
+    2-approximation, and ``ratio`` in the JSON is the count over it.
     ``coordinators`` lists the per-component hub choices when the
-    coordinator algorithm produced the plan.
+    coordinator algorithm produced the plan.  ``proof`` lists, per part
+    an optimal solve treated, its basis and the lower bound the count was
+    proven against (see ``_search_below_coordinator``); ``plan_singlehop``
+    carries ``(("demands", |demands|),)``.  ``to_json`` does not write it.
     """
 
     plan: FlightPlan
@@ -108,6 +113,7 @@ class PlannerResult(NamedTuple):
     lower_bound: int
     proven_optimal: bool = False
     coordinators: tuple[int, ...] = ()
+    proof: tuple[tuple[str, int], ...] = ()
 
     @property
     def count(self) -> int:
@@ -140,6 +146,7 @@ def make_result(
     algorithm: str,
     proven_optimal: bool = False,
     coordinators: tuple[int, ...] = (),
+    proof: tuple[tuple[str, int], ...] = (),
 ) -> PlannerResult:
     return PlannerResult(
         plan=FlightPlan(tuple(flights)),
@@ -148,6 +155,7 @@ def make_result(
         lower_bound=_endpoint_bound(g.demands),  # lower_bound(g).overall
         proven_optimal=proven_optimal,
         coordinators=coordinators,
+        proof=proof,
     )
 
 
@@ -159,7 +167,8 @@ def plan_singlehop(g: DemandGraph) -> PlannerResult:
     are mutually independent, so the order carries no meaning.
     """
     flights = [Flight(src, dst) for src, dst in g.sorted_demands()]
-    return make_result(g, flights, "singlehop", "direct", proven_optimal=True)
+    proof = (("demands", len(flights)),)
+    return make_result(g, flights, "singlehop", "direct", proven_optimal=True, proof=proof)
 
 
 def plan_coordinator(g: DemandGraph) -> PlannerResult:
@@ -282,74 +291,37 @@ def _search_below_coordinator(
     exists.  Both raise ``_BudgetExhausted`` when the solve's one budget
     ``effort`` runs out.  The part then keeps its incumbent, or the plan
     the exception carries, unproven; later parts are still searched with
-    what is left.  The result is proven when every part is.
+    what is left.
+
+    The result's ``proof`` holds one ``(basis, bound)`` per part: the
+    bound as ``tighten`` left it, and as basis ``flight_bound`` when the
+    incumbent met ``demand._flight_bound``, ``packing`` when it met a
+    bound ``tighten`` raised, ``search`` (exact) or ``highs`` (ILP) when
+    the search decided the count, and ``budget`` when the budget ran out
+    first.  A ``budget`` part is unproven, but its bound is still a lower
+    bound.  The result is proven when no part is ``budget``.
     """
     parts = _checked_parts(g, mode, limits)
     effort = _Effort(limits)
+    searched = "highs" if algorithm == "ilp" else "search"
     flights: list[Flight] = []
-    proven = True
+    proof: list[tuple[str, int]] = []
     for part, bound in parts:
         incumbent: Sequence[Flight] = plan_coordinator(part).plan.flights
         found = None
+        basis = "flight_bound"
         try:
             if tighten is not None and len(incumbent) > bound:
-                incumbent, bound = tighten(part, incumbent, bound, effort)
+                incumbent, raised = tighten(part, incumbent, bound, effort)
+                if raised > bound:
+                    bound, basis = raised, "packing"
             if len(incumbent) > bound:
+                basis = searched
                 found = search(part, bound, len(incumbent) - 1, effort)
         except _BudgetExhausted as exhausted:
             found = exhausted.plan
-            proven = False
+            basis = "budget"
         flights.extend(incumbent if found is None else found)
-    return make_result(g, flights, mode, algorithm, proven_optimal=proven)
-
-
-class ComponentSaving(NamedTuple):
-    """Pigeons a plan saved against the per-component ``|S| + |D|`` cap."""
-
-    nodes: tuple[int, ...]
-    sources: int
-    destinations: int
-    pigeons: int
-    saving: int
-
-
-class ApproximationReport(NamedTuple):
-    """Actual count against the universal lower bound."""
-
-    count: int
-    lower_bound: int
-    ratio: Fraction
-    per_component: tuple[ComponentSaving, ...]
-
-
-def approximation_report(g: DemandGraph, result: PlannerResult) -> ApproximationReport:
-    """Compare a planner result against the lower bound, per component.
-
-    A flight counts for the component of its ``remote`` node.
-    """
-    from fractions import Fraction
-
-    partition = weakly_connected_components(g)
-    label = {v: index for index, comp in enumerate(partition.components) for v in comp}
-    used = Counter(label.get(f.remote) for f in result.plan.flights)
-    bound = _endpoint_bound(g.demands)  # lower_bound(g).overall
-    per_component: list[ComponentSaving] = []
-    for index, (comp, demands) in enumerate(zip(partition.components, partition.demands)):
-        sources = len({src for src, _ in demands})
-        destinations = len({dst for _, dst in demands})
-        per_component.append(
-            ComponentSaving(
-                nodes=tuple(sorted(comp)),
-                sources=sources,
-                destinations=destinations,
-                pigeons=used[index],
-                saving=sources + destinations - used[index],
-            )
-        )
-
-    return ApproximationReport(
-        count=result.count,
-        lower_bound=bound,
-        ratio=Fraction(result.count, max(bound, 1)),
-        per_component=tuple(per_component),
-    )
+        proof.append((basis, bound))
+    proven = all(basis != "budget" for basis, _ in proof)
+    return make_result(g, flights, mode, algorithm, proven_optimal=proven, proof=tuple(proof))

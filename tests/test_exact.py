@@ -1,4 +1,5 @@
 import heapq
+import math
 import random
 from itertools import permutations
 
@@ -15,6 +16,7 @@ from pigeonpost import (
     optimal_twohop,
     plan_coordinator,
     plan_cycle,
+    plan_singlehop,
     verify_multihop,
     verify_twohop,
 )
@@ -544,24 +546,29 @@ def test_demo_is_decided_by_the_bound_in_both_solvers(monkeypatch, demo):
         assert result.plan == plan_coordinator(demo).plan
 
 
+def cert_fields(cert):
+    return cert.count, cert.lower_bound, cert.basis, cert.tight, cert.valid
+
+
 def test_certify_tight_bound():
     g = cycle_graph(4)
     cert = certify(g, optimal_multihop(g))
-    assert (cert.count, cert.lower_bound, cert.tight, cert.valid) == (4, 4, True, True)
+    assert cert_fields(cert) == (4, 4, ("flight_bound",), True, True)
 
 
 def test_certify_demo_is_tight(demo):
     cert = certify(demo, optimal_multihop(demo))
-    assert (cert.count, cert.lower_bound, cert.tight, cert.valid) == (5, 5, True, True)
+    assert cert_fields(cert) == (5, 5, ("flight_bound",), True, True)
 
 
 @pytest.mark.parametrize("planner", [optimal_twohop, optimal_multihop], ids=["twohop", "multihop"])
 def test_certify_triangle_not_tight(planner):
     # The bidirected triangle: the optimum 4 is the coordinator plan's
-    # count, above the bound max(m - 1, |S|, |D|) = 3.
+    # count, above the bound max(m - 1, |S|, |D|) = 3, which the packing
+    # bound 2 + 1 does not raise.
     g = DemandGraph.from_pairs(3, [(0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1)])
     cert = certify(g, planner(g))
-    assert (cert.count, cert.lower_bound, cert.tight, cert.valid) == (4, 3, False, True)
+    assert cert_fields(cert) == (4, 3, ("search",), False, True)
 
 
 def test_certify_detects_tampered_plan(demo):
@@ -574,6 +581,81 @@ def test_certify_requires_proven_result(demo):
     unproven = plan_coordinator(demo)._replace(proven_optimal=False)
     with pytest.raises(ValueError):
         certify(demo, unproven)
+
+
+def test_result_without_a_proof_does_not_certify_itself(demo):
+    # The recomputed flight bound is a floor the proof's bound must reach.
+    claimed = plan_coordinator(demo)._replace(proven_optimal=True)
+    assert cert_fields(certify(demo, claimed)) == (5, 0, (), False, False)
+
+
+# The seed-35 graph is one component of 7 nodes with 25 demands, flight
+# bound 7.  Exact multihop raises it to 9 by a cycle packing and proves
+# 10 by search; HiGHS proves 10 against the flight bound.
+SEED_35 = random_graph(7, 0.6, seed=35)
+
+
+def test_certify_reports_the_bound_the_exact_search_proved_against():
+    cert = certify(SEED_35, optimal_multihop(SEED_35))
+    assert cert_fields(cert) == (10, 9, ("search",), False, True)
+
+
+@pytest.mark.slow
+def test_certify_reports_the_bound_highs_proved_against():
+    # HiGHS takes about 40 s to prove it, so the deadline is lifted.
+    pytest.importorskip("scipy")
+    cert = certify(SEED_35, ilp.optimal_multihop_ilp(SEED_35, SearchLimits(time_budget=math.inf)))
+    assert cert_fields(cert) == (10, 7, ("highs",), False, True)
+
+
+def test_singlehop_certificate_is_tight():
+    # One flight per demand is the singlehop optimum.
+    cert = certify(SEED_35, plan_singlehop(SEED_35))
+    assert cert_fields(cert) == (25, 25, ("demands",), True, True)
+
+
+def assert_proof_bounds(g, result):
+    """The proof's bound lies between the flight bound and the count."""
+    bound = sum(part_bound for _, part_bound in result.proof)
+    assert _flight_bound(*weakly_connected_components(g)) <= bound <= result.count
+    bases = {basis for basis, _ in result.proof}
+    assert result.proven_optimal == ("budget" not in bases)
+    assert bases <= {"flight_bound", "packing", "search", "highs", "budget"}
+    if result.proven_optimal:
+        cert = certify(g, result)
+        assert cert.valid and cert.lower_bound == bound
+        assert cert.basis == tuple(basis for basis, _ in result.proof)
+
+
+def certificate_sample(seed: int) -> DemandGraph:
+    rng = random.Random(seed)
+    return random_demand_graph(rng, rng.randint(2, 7), rng.choice([0.2, 0.35, 0.5]))
+
+
+@pytest.mark.parametrize("seed", range(20))
+@pytest.mark.parametrize(
+    "planner",
+    [optimal_multihop, optimal_twohop, ilp.optimal_multihop_ilp, ilp.optimal_twohop_ilp],
+    ids=["exact-multihop", "exact-twohop", "ilp-multihop", "ilp-twohop"],
+)
+def test_certificate_bound_is_the_proof_bound(planner, seed):
+    # HiGHS takes seconds on some dense 7-node graphs; those parts stop at
+    # the deadline and are checked as budget parts.
+    if planner.__name__.endswith("_ilp"):
+        pytest.importorskip("scipy")
+    g = certificate_sample(seed)
+    assert_proof_bounds(g, planner(g, SearchLimits(time_budget=0.5)))
+
+
+def test_budget_parts_keep_a_valid_bound():
+    unproven = 0
+    for seed in range(20):
+        g = certificate_sample(seed)
+        for planner in (optimal_multihop, optimal_twohop):
+            result = planner(g, SearchLimits(expansion_budget=3))
+            assert_proof_bounds(g, result)
+            unproven += not result.proven_optimal
+    assert unproven >= 10
 
 
 @pytest.mark.parametrize("seed", range(30))

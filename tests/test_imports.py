@@ -28,15 +28,15 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] in pack
 
 SOLVER_MODULES = {"pigeonpost.exact", "pigeonpost.ilp", "pigeonpost.reductions"}
 
-# pigeonpost.__all__: 57 functions, classes and exceptions, plus the 8
+# pigeonpost.__all__: 55 functions, classes and exceptions, plus the 8
 # submodules.
 PUBLIC_NAMES = {
-    "ApproximationReport", "Assignment", "BinaryModel", "CnfError", "CnfFormula",
+    "Assignment", "BinaryModel", "CnfError", "CnfFormula",
     "ComponentPartition", "DemandGraph", "DemandGraphError", "Flight",
     "FlightPlan", "FlightPlanError", "ModelError", "OptimalityCertificate",
     "PigeonLowerBound", "PlanStats", "PlannerResult", "ReductionError", "ReductionOutput",
     "SatResult", "SearchLimitError", "SearchLimits", "UndirectedGraph",
-    "VerificationReport", "approximation_report", "build_multihop_model",
+    "VerificationReport", "build_multihop_model",
     "build_twohop_model", "certify", "cycle_graph", "demo_graph",
     "export_lp", "extract_plan", "lower_bound", "min_vertex_cover_bruteforce",
     "optimal_multihop", "optimal_multihop_ilp", "optimal_twohop", "optimal_twohop_ilp",

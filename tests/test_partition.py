@@ -17,7 +17,6 @@ from pigeonpost import (
     DemandGraph,
     Flight,
     FlightPlan,
-    approximation_report,
     lower_bound,
     optimal_multihop,
     plan_coordinator,
@@ -161,21 +160,3 @@ def test_multihop_setup_is_linear_in_the_component_count():
     # per-component set-up.  Linear reads about 8-9x, a set-up that scans
     # every demand or node per component about 50x.
     assert best_multihop_seconds(4000) < 20 * best_multihop_seconds(500)
-
-
-def best_report_seconds(k: int) -> float:
-    g = DemandGraph.from_pairs(2 * k, [(2 * i, 2 * i + 1) for i in range(k)])
-    result = plan_coordinator(g)
-    best = float("inf")
-    for _ in range(3):
-        started = time.perf_counter()
-        report = approximation_report(g, result)
-        best = min(best, time.perf_counter() - started)
-    assert [c.pigeons for c in report.per_component] == [1] * k
-    return best
-
-
-def test_approximation_report_is_linear_in_the_component_count():
-    # 8x the components and the flights: linear reads about 8x, a report
-    # that scans every flight per component about 64x.
-    assert best_report_seconds(4000) < 20 * best_report_seconds(500)

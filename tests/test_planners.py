@@ -1,13 +1,11 @@
 import math
 import random
-from fractions import Fraction
 
 import pytest
 
 from pigeonpost import (
     DemandGraph,
     SearchLimits,
-    approximation_report,
     lower_bound,
     optimal_multihop,
     optimal_multihop_ilp,
@@ -81,28 +79,6 @@ def test_cycle_plan_demo_verifies_multihop(demo):
     result = plan_cycle(demo)
     assert result.count == 10
     assert verify_multihop(demo, result.plan).satisfied
-
-
-def test_approximation_report_six_cycle():
-    g = cycle_graph(6)
-    report = approximation_report(g, plan_coordinator(g))
-    assert report.count == 10
-    assert report.lower_bound == 6
-    assert report.ratio == Fraction(10, 6) == 2 - Fraction(2, 6)
-
-
-def test_approximation_report_star():
-    g = star_graph(4)
-    report = approximation_report(g, plan_coordinator(g))
-    assert report.count == 3
-    assert report.lower_bound == 3
-    assert report.ratio == 1
-
-
-def test_approximation_report_demo(demo):
-    report = approximation_report(demo, plan_coordinator(demo))
-    assert (report.count, report.lower_bound) == (5, 3)
-    assert report.ratio == Fraction(5, 3)
 
 
 @pytest.mark.parametrize("seed", range(40))

@@ -196,11 +196,16 @@ def _cmd_export_lp(args: argparse.Namespace) -> int:
     from .planners import SearchLimitError, SearchLimits, _checked_parts
 
     graph = parse_demand_graph(_read(args.graph))
-    builder = build_twohop_model if args.mode == "twohop" else build_multihop_model
     try:
-        # The size limits of ``solve --algorithm ilp``: a model has about n^4 variables.
-        _checked_parts(graph, args.mode, SearchLimits())
-        model = builder(graph)
+        # The size limits of ``solve --algorithm ilp``, over what the model
+        # spans (it has about n^4 variables): the whole graph for the 2-hop
+        # paper model, the one component for a multihop model.
+        if args.mode == "twohop":
+            SearchLimits().check_size(graph.n, len(graph.demands), "graph")
+            model = build_twohop_model(graph)
+        else:
+            _checked_parts(graph, SearchLimits())
+            model = build_multihop_model(graph)
     except (ModelError, SearchLimitError) as exc:  # a multihop model covers one component
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

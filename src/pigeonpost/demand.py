@@ -182,7 +182,8 @@ def _flight_bound(components, demands) -> int:
     nodes, every source sends a pigeon and every destination receives one.
     That bounds multihop plans, so it bounds 2-hop plans (a relay ``u -> w
     -> v`` flies in ascending slots) and singlehop plans too.  The sum
-    rests on components adding up, as the multihop solvers assume."""
+    rests on components adding up, as the solvers of both regimes assume
+    (see ``exact``)."""
     return sum(max(len(comp) - 1, _endpoint_bound(d)) for comp, d in zip(components, demands))
 
 

@@ -1,12 +1,34 @@
 """Exact optimal solvers at desk scale.
 
+Both solvers treat each weakly connected component as one part, in its
+local ids ``0..m-1`` (``planners._checked_parts``), and return the sum
+of the parts' optima.  That sum is the optimum of the whole graph when
+no plan gains by flying through nodes outside a component.  Part of
+this is proven and the rest is checked:
+
+* Nodes with no demands are never needed, under 2-hop.  Let ``w`` have
+  no demands.  A flight ``u -> w`` serves no demand; it is only the
+  pickup of relays ``u -> w -> v``, which serve demands ``(u, v)`` of
+  ``u``'s component.  A flight ``w -> v`` serves only such relays, that
+  is demands of ``v``'s component, and carries no data anyone wants as a
+  pickup.  Pick one node ``r`` in each component and move each flight
+  between ``w`` and that component onto ``r``, in its own slot, dropping
+  the flight when it becomes ``r -> r``.  A relay ``u -> w -> v`` becomes
+  ``u -> r -> v`` in the same two slots; when ``u`` or ``v`` is ``r``,
+  the one flight kept serves ``(u, v)`` directly.  Every other flight
+  stays, so the plan serves every demand with no more flights.
+* Nodes of another component are never needed, nor, under multihop,
+  nodes with no demands.  This is not proven: ``tests/test_exact.py``
+  checks it in both regimes against oracles that search any flights
+  between any nodes, on every pair of weakly connected 2- and 3-node
+  demand classes, alone and with an extra node without demands.
+
 Multihop: within one weakly connected component there is always an
 optimal solution in which exactly one pigeon flies at a time and each
 pigeon starts where the previous one landed, i.e. the flights form a
 single node walk.  A demand ``(u, v)`` is served by a walk exactly when
 ``u`` occurs strictly before some occurrence of ``v``, that is when
-``first(u) < last(v)``.  Disjoint components contribute independently,
-so the optimum is the sum over components of the shortest covering
+``first(u) < last(v)``.  The optimum of a part is its shortest covering
 walk, found here by a uniform-cost search with an admissible distance
 bound over states ``(current node, appeared set, satisfied demand
 set)``.  Each state is packed into one int with the satisfied set laid
@@ -32,11 +54,11 @@ over ordered flight sequences, pruning flights that make no progress and
 memoizing on the logical state (satisfied demands plus, per open demand,
 the set of relay nodes already holding its data).
 
-Both solvers follow the policy of ``planners._search_below_coordinator``
-(2-hop over the whole graph, multihop per component): the coordinator
-plan is the incumbent and ``demand._flight_bound`` the bound.  Multihop
-tightens both where they differ, with ``fvs``: the incumbent becomes the
-shorter of the coordinator plan and the greedy-DFVS walk, and the bound
+Both solvers follow the policy of ``planners._search_below_coordinator``:
+per part, the coordinator plan is the incumbent and
+``demand._flight_bound`` the bound.  Multihop tightens both where they
+differ, with ``fvs``: the incumbent becomes the shorter of the
+coordinator plan and the greedy-DFVS walk, and the bound
 ``max(m - 1 + packing, |S|, |D|)``.  A count at the bound is proven
 without a search, and otherwise the search looks only for plans with
 fewer flights.  Failing to find one proves the incumbent optimal.  The
@@ -66,14 +88,15 @@ from .planners import (  # SearchLimitError is re-exported for callers of this m
 
 
 def _min_covering_walk(
-    nodes: list[int],
+    m: int,
     demands: Iterable[tuple[int, int]],
     effort: _Effort,
     max_flights: int,
 ) -> list[int] | None:
-    """Shortest walk over ``nodes`` serving every demand in at most
-    ``max_flights`` flights, or None when there is none; ``effort.spend``
-    raises when the budget runs out.
+    """Shortest walk over the nodes ``0..m-1`` serving every demand in at
+    most ``max_flights`` flights, or None when there is none;
+    ``effort.spend`` raises when the budget runs out.  Every node must lie
+    on a demand.
 
     Uniform-cost search (cost 1 per appended node) guided by a consistent
     lower bound: every not-yet-appeared node and every node that is the
@@ -83,7 +106,7 @@ def _min_covering_walk(
     that finds no walk within the cap expands only the states whose
     bound is within it.
 
-    With ``m`` nodes in local ids, a state is one int
+    A state is one int
     ``satisfied << (m + cb) | appeared << cb | current`` with
     ``cb = m.bit_length()``; bit ``x*m + u`` of ``satisfied`` is demand
     ``(u, x)``.  Appending ``x`` serves ``(appeared << x*m) & wanted[x]``
@@ -93,8 +116,6 @@ def _min_covering_walk(
     1), hence the child's bound is the parent's minus 1, plus 1 when
     ``x`` still has unserved in-demands: ``f`` grows by that last term.
     """
-    m = len(nodes)
-    local = {v: i for i, v in enumerate(nodes)}
     cb = m.bit_length()
     sat_shift = m + cb  # where ``satisfied`` starts inside a key
     current_mask = (1 << cb) - 1
@@ -104,10 +125,9 @@ def _min_covering_walk(
     wanted = [0] * m
     sources_mask = 0
     destinations_mask = 0
-    for u, v in demands:
-        x = local[v]
-        wanted[x] |= 1 << (sat_shift + x * m + local[u])
-        sources_mask |= 1 << local[u]
+    for u, x in demands:
+        wanted[x] |= 1 << (sat_shift + x * m + u)
+        sources_mask |= 1 << u
         destinations_mask |= 1 << x
     full = 0
     for mask in wanted:
@@ -164,12 +184,12 @@ def _min_covering_walk(
     if goal is None:
         return None
 
-    walk_local: list[int] = []
+    walk: list[int] = []
     key: int | None = goal
     while key is not None:
-        walk_local.append(key & current_mask)
+        walk.append(key & current_mask)
         key = seen[key][1]
-    return [nodes[i] for i in reversed(walk_local)]
+    return walk[::-1]
 
 
 def _flights(walk: list[int]) -> list[Flight]:
@@ -179,8 +199,7 @@ def _flights(walk: list[int]) -> list[Flight]:
 def _search_multihop(
     part: DemandGraph, bound: int, cap: int, effort: _Effort
 ) -> list[Flight] | None:
-    nodes = sorted({v for demand in part.demands for v in demand})
-    walk = _min_covering_walk(nodes, part.demands, effort, cap)
+    walk = _min_covering_walk(part.n, part.demands, effort, cap)
     return None if walk is None else _flights(walk)
 
 
@@ -193,22 +212,21 @@ def _tighten_multihop(
     the incumbent chosen."""
     from . import fvs  # only the multihop solves of this module use it
 
-    nodes = sorted({v for demand in part.demands for v in demand})
-    local = {v: i for i, v in enumerate(nodes)}
-    succ = [0] * len(nodes)
-    pred = [0] * len(nodes)
+    m = part.n
+    succ = [0] * m
+    pred = [0] * m
     for u, v in part.demands:
-        succ[local[u]] |= 1 << local[v]
-        pred[local[v]] |= 1 << local[u]
+        succ[u] |= 1 << v
+        pred[v] |= 1 << u
     dfvs = fvs.greedy_dfvs(succ, pred, effort.spend)
-    if len(nodes) - 1 + dfvs.bit_count() < len(incumbent):
-        incumbent = _flights([nodes[i] for i in fvs.dfvs_walk(succ, pred, dfvs)])
+    if m - 1 + dfvs.bit_count() < len(incumbent):
+        incumbent = _flights(fvs.dfvs_walk(succ, pred, dfvs))
     if len(incumbent) > bound:
         try:
             packing = fvs.cycle_packing(succ, pred, effort.spend)
         except _BudgetExhausted:
             raise _BudgetExhausted(incumbent) from None
-        bound = max(bound, len(nodes) - 1 + len(packing))
+        bound = max(bound, m - 1 + len(packing))
     return incumbent, bound
 
 
@@ -316,12 +334,13 @@ def _search_twohop(
 
 
 def optimal_twohop(g: DemandGraph, limits: SearchLimits = SearchLimits()) -> PlannerResult:
-    """Provably minimal 2-hop plan via iterative deepening.
+    """Provably minimal 2-hop plan via iterative deepening, solved per
+    component.
 
-    Flight counts run from ``demand._flight_bound`` up to one below the
-    coordinator plan's count; the first feasible count is optimal, and
-    when none is, the coordinator plan is.  On budget exhaustion the
-    coordinator plan is returned unproven.
+    Per component, flight counts run from its ``demand._flight_bound`` up
+    to one below its coordinator plan's count; the first feasible count
+    is optimal, and when none is, the coordinator plan is.  On budget
+    exhaustion the coordinator plan is returned unproven.
     """
     return _search_below_coordinator(g, "twohop", "exact", limits, _search_twohop)
 

@@ -27,10 +27,12 @@ default is the paper's, which ``export_lp`` writes.  Only the relative
 order of slots matters, so with ``k`` slots the solutions are the plans
 of the paper model that use at most ``k`` slots.  The planners
 ``optimal_*_ilp`` follow the solve policy of
-``planners._search_below_coordinator``, as the exact solvers do: the
-coordinator plan of the graph (2-hop) or of each weakly connected
-component (multihop) is the incumbent, and when its count meets the
-bound ``demand._flight_bound`` it is returned as proven optimal; no
+``planners._search_below_coordinator``, as the exact solvers do, and
+build one model per part, a weakly connected component in its local ids
+``0..m-1``; a 2-hop model of a part thus relays through the
+component's own nodes only (see ``exact`` for why that loses nothing).
+Each part's coordinator plan is its incumbent, and when its count meets
+the bound ``demand._flight_bound`` it is returned as proven optimal; no
 model is built and scipy is not imported.  Otherwise they build the
 model at the incumbent's slot count, ``count - 1`` flight slots (2-hop)
 or ``count`` walk positions (multihop), so its solutions are the plans
@@ -511,10 +513,11 @@ def _solve_below(
 
 
 def optimal_twohop_ilp(g: DemandGraph, limits: SearchLimits = SearchLimits()) -> PlannerResult:
-    """2-hop optimum via the slot model, searched below the coordinator plan.
+    """2-hop optimum: one slot model per weakly connected component,
+    searched below the coordinator plan.
 
-    The coordinator plan is the incumbent.  When its count meets
-    ``demand._flight_bound`` it is optimal and no model is solved.
+    Each component's incumbent is its coordinator plan.  When its count
+    meets ``demand._flight_bound`` it is optimal and no model is solved.
     Otherwise the model has ``count - 1`` slots, so HiGHS either finds a
     plan with fewer flights or proves, by infeasibility, that none exists.
     """

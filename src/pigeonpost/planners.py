@@ -14,11 +14,16 @@
 
 ``SearchLimits`` holds the size and effort caps shared by the exact and
 ILP solvers, which both import this module.  Both also share one solve
-policy, ``_search_below_coordinator``: the coordinator plan is the
-incumbent and ``demand._flight_bound`` the bound, both of which a caller
-may tighten (exact multihop does), a count at the bound is returned as
-proven optimal with nothing searched, and otherwise the solver searches only
-for plans with fewer flights, keeping the incumbent when it finds none.
+policy, ``_search_below_coordinator``, and one part rule, in every
+regime: a solve treats each weakly connected component of the demand
+graph as one part, relabelled onto ``0..m-1`` in ascending node order
+(``_checked_parts``), and the size limits apply to each part.  Only the
+policy maps a part's flights back to the graph's node ids.  Per part, the
+coordinator plan is the incumbent and ``demand._flight_bound`` the bound,
+both of which a caller may tighten (exact multihop does), a count at the
+bound is returned as proven optimal with nothing searched, and otherwise
+the solver searches only for plans with fewer flights, keeping the
+incumbent when it finds none.
 The policy records, per part, the bound it proved against and what
 decided the count; the result carries that as ``PlannerResult.proof``,
 which ``exact.certify`` reads.  The policy holds the solve's one budget,
@@ -56,11 +61,11 @@ class _SearchLimitsFields(NamedTuple):
 class SearchLimits(_SearchLimitsFields):
     """Structural and effort caps for the exact and ILP solvers.
 
-    ``max_nodes`` bounds the whole graph for 2-hop and each component for
-    multihop.  Budgets are soft: exceeding them degrades to a feasible
-    but unproven answer instead of failing.  ``time_budget`` is the
-    seconds one solve may take, 60 by default; ``math.inf`` lets it run
-    until the expansion budget runs out.
+    ``max_nodes`` and ``max_demands`` bound each part, that is each weakly
+    connected component, in both regimes.  Budgets are soft: exceeding
+    them degrades to a feasible but unproven answer instead of failing.
+    ``time_budget`` is the seconds one solve may take, 60 by default;
+    ``math.inf`` lets it run until the expansion budget runs out.
     """
 
     __slots__ = ()
@@ -248,19 +253,23 @@ class _Effort:
 
 
 def _checked_parts(
-    g: DemandGraph, mode: str, limits: SearchLimits
-) -> list[tuple[DemandGraph, int]]:
-    """The parts an optimal solve of ``g`` treats one by one, each with its
-    ``_flight_bound``: the whole graph for 2-hop, each weakly connected
-    component for multihop.  Raises ``SearchLimitError`` when a part is
-    over ``limits``, before any part is searched."""
-    partition = weakly_connected_components(g)
-    if mode == "twohop":
-        limits.check_size(g.n, len(g.demands), "graph")
-        return [(g, _flight_bound(*partition))]
-    for comp, demands in zip(*partition):
+    g: DemandGraph, limits: SearchLimits
+) -> list[tuple[list[int], DemandGraph, int]]:
+    """The parts an optimal solve of ``g`` treats one by one, in every
+    regime: each weakly connected component as ``(nodes, part, bound)``.
+    ``nodes`` lists its nodes ascending, ``part`` is the component with
+    ``nodes[i]`` relabelled to ``i``, and ``bound`` is its
+    ``_flight_bound``.  Nodes without demands belong to no part.  Raises
+    ``SearchLimitError`` when a component is over ``limits``, before any
+    part is searched."""
+    parts = []
+    for comp, demands in zip(*weakly_connected_components(g)):
         limits.check_size(len(comp), len(demands), "component")
-    return [(DemandGraph(g.n, d), _flight_bound((c,), (d,))) for c, d in zip(*partition)]
+        nodes = sorted(comp)
+        local = {v: i for i, v in enumerate(nodes)}
+        part = DemandGraph(len(nodes), frozenset((local[u], local[v]) for u, v in demands))
+        parts.append((nodes, part, _flight_bound((comp,), (demands,))))
+    return parts
 
 
 def _search_below_coordinator(
@@ -275,13 +284,14 @@ def _search_below_coordinator(
 ) -> PlannerResult:
     """The solve policy of the exact and ILP planners.
 
-    A 2-hop plan is solved as one part, the whole graph; a multihop plan
-    per weakly connected component.  Each part's bound is
-    ``demand._flight_bound``, the one bound of every regime.  The parts
-    come from ``_checked_parts``, so a part over the size limits is
-    refused before any is searched; ``export-lp`` applies the same check.
-    Each part's incumbent is its coordinator plan.  When that is above
-    the bound and the caller passes ``tighten``,
+    The parts come from ``_checked_parts``: one per weakly connected
+    component, in both regimes, so a part over the size limits is refused
+    before any is searched.  ``tighten`` and ``search`` see a part in its
+    local ids ``0..m-1`` and return flights in them; the policy maps the
+    flights it keeps back through the part's ``nodes``.  Each part's bound
+    is ``demand._flight_bound``, the one bound of every regime, and its
+    incumbent is its coordinator plan.  When that is above the bound and
+    the caller passes ``tighten``,
     ``tighten(part, incumbent, bound, effort)`` returns an incumbent no
     longer and a bound no lower (exact multihop: the DFVS walk and the
     cycle-packing bound).  When the incumbent meets the bound it is
@@ -301,12 +311,12 @@ def _search_below_coordinator(
     first.  A ``budget`` part is unproven, but its bound is still a lower
     bound.  The result is proven when no part is ``budget``.
     """
-    parts = _checked_parts(g, mode, limits)
+    parts = _checked_parts(g, limits)
     effort = _Effort(limits)
     searched = "highs" if algorithm == "ilp" else "search"
     flights: list[Flight] = []
     proof: list[tuple[str, int]] = []
-    for part, bound in parts:
+    for nodes, part, bound in parts:
         incumbent: Sequence[Flight] = plan_coordinator(part).plan.flights
         found = None
         basis = "flight_bound"
@@ -321,7 +331,8 @@ def _search_below_coordinator(
         except _BudgetExhausted as exhausted:
             found = exhausted.plan
             basis = "budget"
-        flights.extend(incumbent if found is None else found)
+        kept = incumbent if found is None else found
+        flights.extend(Flight(nodes[a], nodes[b]) for a, b in kept)
         proof.append((basis, bound))
     proven = all(basis != "budget" for basis, _ in proof)
     return make_result(g, flights, mode, algorithm, proven_optimal=proven, proof=tuple(proof))

@@ -221,8 +221,9 @@ def test_export_lp(demo_file, capsys):
     assert "Binary" in out and out.rstrip().endswith("End")
 
 
-# The size limits of ``solve --algorithm ilp`` (10 nodes, 40 demands): the
-# whole graph for 2-hop, the one component for multihop.
+# The size limits of ``solve --algorithm ilp`` (10 nodes, 40 demands),
+# over what the model spans: the whole graph for the 2-hop paper model,
+# the one component for multihop.
 @pytest.mark.parametrize(
     "graph, twohop, multihop",
     [
@@ -244,6 +245,18 @@ def test_export_lp_applies_the_solver_size_limits(tmp_path, capsys, graph, twoho
         assert_one_error_line(captured)
     else:
         assert captured.out.startswith("Minimize\n")
+
+
+@pytest.mark.parametrize("algorithm", ["exact", "ilp"])
+def test_twohop_solve_limits_each_component_not_the_graph(tmp_path, capsys, algorithm):
+    # The one component has 2 nodes; the 9 other nodes carry no demand.
+    if algorithm == "ilp":
+        pytest.importorskip("scipy")
+    path = tmp_path / "graph.json"
+    path.write_text('{"n": 11, "demands": [[0, 1]]}')
+    code, out = run(capsys, "solve", str(path), "--mode", "twohop", "--algorithm", algorithm)
+    doc = json.loads(out)
+    assert (code, doc["count"], doc["proven_optimal"]) == (0, 1, True)
 
 
 def test_identical_invocations_are_byte_identical(demo_file, capsys):

@@ -1,7 +1,8 @@
 import heapq
 import math
 import random
-from itertools import permutations
+from functools import cache
+from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 
@@ -26,7 +27,7 @@ from pigeonpost.fvs import cycle_packing
 from pigeonpost.planners import _Effort
 from pigeonpost.instances import cycle_graph, demo_graph, random_graph, star_graph
 
-from conftest import random_demand_graph
+from conftest import random_demand_graph, spans_all_nodes
 
 
 def test_multihop_four_cycle_needs_n_pigeons():
@@ -390,9 +391,9 @@ def record_walk_searches(monkeypatch) -> list[int]:
     caps = []
     search = exact._min_covering_walk
 
-    def recording(nodes, demands, effort, max_flights):
+    def recording(m, demands, effort, max_flights):
         caps.append(max_flights)
-        return search(nodes, demands, effort, max_flights)
+        return search(m, demands, effort, max_flights)
 
     monkeypatch.setattr(exact, "_min_covering_walk", recording)
     return caps
@@ -433,12 +434,11 @@ def test_multihop_oversized_component_is_refused_before_any_search(monkeypatch):
 
 
 def walk_search(g: DemandGraph, cap: int) -> tuple[list[int] | None, int]:
-    """The A*'s walk of ``g``'s one component within ``cap`` flights, and
-    the expansions it took."""
+    """The A*'s walk of ``g`` within ``cap`` flights, and the expansions
+    it took; ``g`` is one component spanning all its nodes."""
     limits = SearchLimits()
     effort = _Effort(limits)
-    nodes = sorted({v for demand in g.demands for v in demand})
-    walk = exact._min_covering_walk(nodes, g.demands, effort, cap)
+    walk = exact._min_covering_walk(g.n, g.demands, effort, cap)
     return walk, limits.expansion_budget - effort.remaining
 
 
@@ -522,6 +522,17 @@ def test_twohop_search_starts_at_the_component_bound(monkeypatch):
     assert depths == []
     assert result.proven_optimal
     assert result.count == lower_bound(g).component_total == 4
+
+
+def test_twohop_solves_each_component_on_its_own():
+    # Ten nodes in two 5-node components, each with a coordinator plan of
+    # 6 against bounds 4 and 5; each search proves 5 in milliseconds.
+    left, right = random_graph(5, 0.4, 1), random_graph(5, 0.4, 2)
+    g = DemandGraph.from_pairs(10, list(left.demands) + [(u + 5, v + 5) for u, v in right.demands])
+    result = optimal_twohop(g)
+    assert (result.count, result.proven_optimal) == (10, True)
+    assert result.proof == (("search", 4), ("search", 5))
+    assert verify_twohop(g, result.plan).satisfied
 
 
 def test_twohop_budget_falls_back_to_coordinator():
@@ -681,3 +692,64 @@ def test_component_additivity(seed):
     union = DemandGraph.from_pairs(6, list(left.demands) + shifted)
     expected = optimal_multihop(left).count + optimal_multihop(right).count
     assert optimal_multihop(union).count == expected
+
+
+@cache
+def demand_classes(k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """One demand set on nodes ``0..k-1`` per isomorphism class of weakly
+    connected demand digraphs spanning them: 2 for k = 2, 13 for k = 3,
+    199 for k = 4."""
+    arcs = list(permutations(range(k), 2))
+    classes = set()
+    for mask in range(1, 1 << len(arcs)):
+        pairs = [arc for i, arc in enumerate(arcs) if mask >> i & 1]
+        if spans_all_nodes(DemandGraph.from_pairs(k, pairs)):
+            labelled = (tuple(sorted((p[u], p[v]) for u, v in pairs)) for p in permutations(range(k)))
+            classes.add(min(labelled))
+    return tuple(sorted(classes))
+
+
+@cache
+def class_optimum(oracle, demands: tuple[tuple[int, int], ...]) -> int:
+    return oracle(DemandGraph.from_pairs(1 + max(max(d) for d in demands), demands))
+
+
+def class_pairs(sizes: str) -> list[tuple[tuple, tuple, int]]:
+    """``(left, right, isolated)``: every unordered pair of 2- and 3-node
+    classes with no or one extra node, or every (3, 4) pair with none."""
+    if sizes == "2-3":
+        small = demand_classes(2) + demand_classes(3)
+        pairs = combinations_with_replacement(small, 2)
+        return [(a, b, isolated) for a, b in pairs for isolated in (0, 1)]
+    return [(a, b, 0) for a, b in product(demand_classes(3), demand_classes(4))]
+
+
+def side_by_side(left, right, isolated: int) -> DemandGraph:
+    """``left`` on the first nodes, then ``isolated`` nodes without
+    demands, then ``right``: the right component's ids do not start at 0."""
+    shift = 1 + max(max(d) for d in left) + isolated
+    n = shift + 1 + max(max(d) for d in right)
+    return DemandGraph.from_pairs(n, list(left) + [(u + shift, v + shift) for u, v in right])
+
+
+@pytest.mark.parametrize("sizes", ["2-3", pytest.param("3x4", marks=pytest.mark.slow)])
+@pytest.mark.parametrize(
+    "planner, oracle, verifier",
+    [
+        (optimal_twohop, twohop_optimum_by_astar, verify_twohop),
+        (optimal_multihop, multihop_optimum_by_astar, verify_multihop),
+    ],
+    ids=["twohop", "multihop"],
+)
+def test_components_add_up_against_the_oracle(planner, oracle, verifier, sizes):
+    # The oracles fly any flights between any nodes, so the whole graph's
+    # optimum may use the other component and the extra node as relays.
+    cases = class_pairs(sizes)
+    assert len(cases) == {"2-3": 240, "3x4": 13 * 199}[sizes]
+    for left, right, isolated in cases:
+        g = side_by_side(left, right, isolated)
+        expected = class_optimum(oracle, left) + class_optimum(oracle, right)
+        assert oracle(g) == expected, g.sorted_demands()
+        result = planner(g)
+        assert (result.count, result.proven_optimal) == (expected, True), g.sorted_demands()
+        assert verifier(g, result.plan).satisfied

@@ -5,6 +5,7 @@ import pytest
 
 from pigeonpost import (
     DemandGraph,
+    SearchLimitError,
     SearchLimits,
     lower_bound,
     optimal_multihop,
@@ -20,6 +21,7 @@ from pigeonpost import (
     weakly_connected_components,
 )
 from pigeonpost.instances import cycle_graph, demo_graph, star_graph
+from pigeonpost.planners import _checked_parts
 
 from conftest import random_demand_graph
 
@@ -135,3 +137,30 @@ def test_unbounded_time_budget_proves_the_optimum(graph, optimum, solve):
         pytest.importorskip("scipy")
     result = solve(graph, SearchLimits(time_budget=math.inf))
     assert (result.count, result.proven_optimal) == (optimum, True)
+
+
+def test_parts_are_the_components_in_local_ids():
+    # Nodes 1, 4 and 6 carry no demand and belong to no part.
+    g = DemandGraph.from_pairs(8, [(7, 0), (0, 3), (5, 2)])
+    assert _checked_parts(g, SearchLimits()) == [
+        ([0, 3, 7], DemandGraph(3, frozenset({(2, 0), (0, 1)})), 2),
+        ([2, 5], DemandGraph(2, frozenset({(1, 0)})), 1),
+    ]
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [optimal_twohop, optimal_multihop, optimal_twohop_ilp, optimal_multihop_ilp],
+    ids=["exact-twohop", "exact-multihop", "ilp-twohop", "ilp-multihop"],
+)
+def test_size_limits_apply_to_each_component(solve):
+    # Two 3-cycles, 6 nodes and 6 demands in all; each is searched (the
+    # coordinator plan has 4 flights against a bound of 3) and needs 3.
+    if solve.__name__.endswith("_ilp"):
+        pytest.importorskip("scipy")
+    g = DemandGraph.from_pairs(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+    result = solve(g, SearchLimits(max_nodes=3, max_demands=3))
+    assert (result.count, result.proven_optimal) == (6, True)
+    for limits in (SearchLimits(max_nodes=2), SearchLimits(max_demands=2)):
+        with pytest.raises(SearchLimitError):
+            solve(g, limits)

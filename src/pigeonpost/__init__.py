@@ -8,7 +8,7 @@ to proven optimality.
 Every record (``DemandGraph``, ``Flight``, ``PlannerResult`` ...) is a
 ``typing.NamedTuple``: immutable, built positionally or by keyword, and
 copied with ``_replace``.  A record that validates its fields does so in
-the ``__new__`` of a subclass, which ``_replace`` goes through as well.
+the ``__new__`` of a subclass, its one check, which ``_replace`` takes too.
 
 The public names below load their module on first access (PEP 562), so
 ``import pigeonpost`` or a CLI command that needs no solver does not

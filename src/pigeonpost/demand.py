@@ -7,8 +7,9 @@ nodes with incoming demand are *destinations*; a node may be both.
 
 The JSON interchange format is ``{"n": <int>, "demands": [[src, dst], ...]}``.
 Canonical serialization sorts the demand list lexicographically so that
-identical graphs always produce byte-identical documents.  A parsed
-document may have at most ``MAX_PARSED_NODES`` nodes.
+identical graphs always produce byte-identical documents.  The
+``DemandGraph`` constructor checks every field, types included; the
+parser adds only the document's shape and a cap of ``MAX_PARSED_NODES``.
 """
 
 from __future__ import annotations
@@ -33,33 +34,34 @@ class DemandGraphSizeError(DemandGraphError):
     """Raised when a parsed graph has more than ``MAX_PARSED_NODES`` nodes."""
 
 
-def _check_node_count(n: int) -> None:
-    if n < 0:
-        raise DemandGraphError(f"node count must be non-negative, got {n}")
-
-
-def _demand_error(n: int, src: int, dst: int) -> DemandGraphError:
-    if src == dst:
-        return DemandGraphError(f"self-demand ({src}, {dst}) is not allowed")
-    return DemandGraphError(f"demand ({src}, {dst}) out of range for n={n}")
-
-
 class _DemandGraphFields(NamedTuple):
     n: int
     demands: frozenset[tuple[int, int]]
 
 
 class DemandGraph(_DemandGraphFields):
-    """Directed unweighted demand graph on node ids ``[0, n)``."""
+    """Directed demand graph on node ids ``[0, n)``, all exactly ``int``.
+    The constructor, its one check, takes ``demands`` as any iterable of pairs."""
 
     __slots__ = ()
 
-    def __new__(cls, n: int, demands: frozenset[tuple[int, int]]) -> DemandGraph:
-        _check_node_count(n)
-        for src, dst in demands:
-            if src == dst or not (0 <= src < n and 0 <= dst < n):
-                raise _demand_error(n, src, dst)
-        return tuple.__new__(cls, (n, demands))
+    def __new__(cls, n: int, demands) -> DemandGraph:
+        # Exact type: bool is an int subclass, so JSON true would pass as node 1.
+        if type(n) is not int or n < 0:
+            raise DemandGraphError(f"node count must be a non-negative integer, got {n!r}")
+        checked: list[tuple[int, int]] = []
+        for pair in demands:
+            if not isinstance(pair, (tuple, list)) or len(pair) != 2:
+                raise DemandGraphError(f"demand entry {pair!r} is not a pair")
+            src, dst = pair
+            if type(src) is not int or type(dst) is not int:
+                raise DemandGraphError(f"demand endpoints must be integers: {pair!r}")
+            if src == dst:
+                raise DemandGraphError(f"self-demand ({src}, {dst}) is not allowed")
+            if not (0 <= src < n and 0 <= dst < n):
+                raise DemandGraphError(f"demand ({src}, {dst}) out of range for n={n}")
+            checked.append((src, dst))
+        return tuple.__new__(cls, (n, frozenset(checked)))
 
     @classmethod
     def _make(cls, iterable) -> DemandGraph:
@@ -67,24 +69,8 @@ class DemandGraph(_DemandGraphFields):
 
     @classmethod
     def from_pairs(cls, n: int, pairs) -> DemandGraph:
-        """Build a validated graph from (src, dst) pairs, dropping duplicates.
-
-        Each pair is checked once, here, so the demands skip the walk of
-        ``__new__``.
-        """
-        _check_node_count(n)
-        demands: set[tuple[int, int]] = set()
-        for pair in pairs:
-            if not isinstance(pair, (tuple, list)) or len(pair) != 2:
-                raise DemandGraphError(f"demand entry {pair!r} is not a pair")
-            src, dst = pair
-            # Exact type: bool is an int subclass, so JSON true would pass as node 1.
-            if type(src) is not int or type(dst) is not int:
-                raise DemandGraphError(f"demand endpoints must be integers: {pair!r}")
-            if src == dst or not (0 <= src < n and 0 <= dst < n):
-                raise _demand_error(n, src, dst)
-            demands.add((src, dst))
-        return tuple.__new__(cls, (n, frozenset(demands)))
+        """The constructor under another name."""
+        return cls(n, pairs)
 
     def sorted_demands(self) -> list[tuple[int, int]]:
         return sorted(self.demands)
@@ -97,7 +83,7 @@ class DemandGraph(_DemandGraphFields):
 
 
 def parse_demand_graph(text: str) -> DemandGraph:
-    """Parse and validate a demand graph from its JSON document."""
+    """Parse a demand graph from its JSON document."""
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:  # JSONDecodeError, or an int over 4,300 digits
@@ -106,15 +92,13 @@ def parse_demand_graph(text: str) -> DemandGraph:
         raise DemandGraphError("demand graph document must be a JSON object")
     if "n" not in doc or "demands" not in doc:
         raise DemandGraphError('demand graph document needs "n" and "demands"')
-    n = doc["n"]
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise DemandGraphError('"n" must be an integer')
-    if n > MAX_PARSED_NODES:
+    n, demands = doc["n"], doc["demands"]
+    # The constructor refuses an ``n`` that is not an int.
+    if isinstance(n, int) and n > MAX_PARSED_NODES:
         raise DemandGraphSizeError(f'"n" = {n} exceeds the limit of {MAX_PARSED_NODES} nodes')
-    demands = doc["demands"]
     if not isinstance(demands, list):
         raise DemandGraphError('"demands" must be a list of [src, dst] pairs')
-    return DemandGraph.from_pairs(n, demands)
+    return DemandGraph(n, demands)
 
 
 class ComponentPartition(NamedTuple):

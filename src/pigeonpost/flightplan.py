@@ -15,7 +15,8 @@ given routing regime:
 * ``multihop``  - a chain of flights with strictly ascending slots.
 
 Verifiers never raise on unsatisfied demand; they report it, so planner
-output can be debugged demand by demand.
+output can be debugged demand by demand.  ``Flight`` checks its fields,
+``parse_flight_plan`` only the document's shape.
 """
 
 from __future__ import annotations
@@ -39,13 +40,17 @@ class _FlightFields(NamedTuple):
 class Flight(_FlightFields):
     """One pigeon: released at ``remote``, landing at its ``home`` node.
 
-    Flights order by ``(remote, home)``.
+    The endpoints are distinct, non-negative and exactly ``int``; the
+    constructor is the one check.  Flights order by ``(remote, home)``.
     """
 
     __slots__ = ()
 
     def __new__(cls, remote: int, home: int) -> Flight:
         self = tuple.__new__(cls, (remote, home))
+        # Exact type: bool is an int subclass, so JSON true would pass as node 1.
+        if type(remote) is not int or type(home) is not int:
+            raise FlightPlanError(f"flight endpoints must be integers: {self}")
         if remote == home:
             raise FlightPlanError(f"flight cannot start at its home node {home}")
         if remote < 0 or home < 0:
@@ -94,11 +99,7 @@ def parse_flight_plan(text: str) -> FlightPlan:
     for entry in doc["flights"]:
         if not isinstance(entry, dict) or "remote" not in entry or "home" not in entry:
             raise FlightPlanError(f"flight entry {entry!r} needs remote and home")
-        remote, home = entry["remote"], entry["home"]
-        # Exact type: bool is an int subclass, so JSON true would pass as node 1.
-        if type(remote) is not int or type(home) is not int:
-            raise FlightPlanError(f"flight endpoints must be integers: {entry!r}")
-        flights.append(Flight(remote, home))
+        flights.append(Flight(entry["remote"], entry["home"]))
     return FlightPlan(tuple(flights))
 
 

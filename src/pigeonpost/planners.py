@@ -65,7 +65,8 @@ class SearchLimits(_SearchLimitsFields):
     connected component, in both regimes.  Budgets are soft: exceeding
     them degrades to a feasible but unproven answer instead of failing.
     ``time_budget`` is the seconds one solve may take, 60 by default;
-    ``math.inf`` lets it run until the expansion budget runs out.
+    ``math.inf`` lets it run until the expansion budget runs out.  The
+    other three must be exactly ``int``.
     """
 
     __slots__ = ()
@@ -77,6 +78,9 @@ class SearchLimits(_SearchLimitsFields):
         expansion_budget: int = 5_000_000,
         time_budget: float = 60.0,
     ) -> SearchLimits:
+        # Exact type: bool is an int subclass, so True would pass as 1.
+        if any(type(count) is not int for count in (max_nodes, max_demands, expansion_budget)):
+            raise ValueError("max_nodes, max_demands and expansion_budget must be integers")
         # Written so that NaN fails too; None raises TypeError.
         if not (max_nodes > 0 and max_demands > 0 and expansion_budget > 0 and time_budget > 0):
             raise ValueError("search limits must be positive")
@@ -267,7 +271,7 @@ def _checked_parts(
         limits.check_size(len(comp), len(demands), "component")
         nodes = sorted(comp)
         local = {v: i for i, v in enumerate(nodes)}
-        part = DemandGraph(len(nodes), frozenset((local[u], local[v]) for u, v in demands))
+        part = DemandGraph(len(nodes), ((local[u], local[v]) for u, v in demands))
         parts.append((nodes, part, _flight_bound((comp,), (demands,))))
     return parts
 

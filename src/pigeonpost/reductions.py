@@ -21,6 +21,9 @@ Two constructions map classic NP-hard problems onto pigeon planning:
 Node id layout for the 3-CNF construction: clauses ``0..m-1``, positive
 literals ``m..m+n-1``, negated literals ``m+n..m+2n-1``, star ``m+2n``,
 then three consecutive ids per gadget arm in forced-edge order.
+
+``CnfFormula`` and ``UndirectedGraph`` check every field, types included,
+in their constructors; the parsers check only the document's shape.
 """
 
 from __future__ import annotations
@@ -53,17 +56,20 @@ class _CnfFormulaFields(NamedTuple):
 
 
 class CnfFormula(_CnfFormulaFields):
-    """3-CNF formula; literals are signed 1-based variable indices."""
+    """3-CNF formula; literals are signed 1-based variable indices, all ``int``."""
 
     __slots__ = ()
 
     def __new__(cls, num_vars: int, clauses: tuple[tuple[int, int, int], ...]) -> CnfFormula:
-        if num_vars < 0:
-            raise CnfError("variable count must be non-negative")
+        # Exact type: bool is an int subclass, so True would pass as literal 1.
+        if type(num_vars) is not int or num_vars < 0:
+            raise CnfError(f"variable count must be a non-negative integer, got {num_vars!r}")
         for clause in clauses:
             if len(clause) != 3:
                 raise CnfError(f"clause {clause} must have exactly three literals")
             for lit in clause:
+                if type(lit) is not int:
+                    raise CnfError(f"literal {lit!r} is not an integer")
                 if lit == 0 or abs(lit) > num_vars:
                     raise CnfError(f"literal {lit} out of range")
         return tuple.__new__(cls, (num_vars, clauses))
@@ -130,19 +136,28 @@ class _UndirectedGraphFields(NamedTuple):
 
 
 class UndirectedGraph(_UndirectedGraphFields):
-    """Simple undirected graph; edges stored as (min, max) pairs."""
+    """Simple undirected graph; edges stored as (min, max) pairs.  The
+    constructor, its one check, has ``DemandGraph``'s rules and normalises."""
 
     __slots__ = ()
 
-    def __new__(cls, n: int, edges: frozenset[tuple[int, int]]) -> UndirectedGraph:
-        for u, v in edges:
+    def __new__(cls, n: int, edges) -> UndirectedGraph:
+        # Exact type: bool is an int subclass, so JSON true would pass as node 1.
+        if type(n) is not int or n < 0:
+            raise ReductionError(f"node count must be a non-negative integer, got {n!r}")
+        checked: list[tuple[int, int]] = []
+        for pair in edges:
+            if not isinstance(pair, (tuple, list)) or len(pair) != 2:
+                raise ReductionError(f"edge entry {pair!r} is not a pair")
+            u, v = pair
+            if type(u) is not int or type(v) is not int:
+                raise ReductionError(f"edge endpoints must be integers: {pair!r}")
             if u == v:
                 raise ReductionError(f"self-loop on node {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ReductionError(f"edge ({u}, {v}) out of range for n={n}")
-            if u > v:
-                raise ReductionError("edges must be normalized as (min, max)")
-        return tuple.__new__(cls, (n, edges))
+            checked.append((u, v) if u < v else (v, u))
+        return tuple.__new__(cls, (n, frozenset(checked)))
 
     @classmethod
     def _make(cls, iterable) -> UndirectedGraph:
@@ -150,16 +165,8 @@ class UndirectedGraph(_UndirectedGraphFields):
 
     @classmethod
     def from_pairs(cls, n: int, pairs) -> UndirectedGraph:
-        edges = set()
-        for pair in pairs:
-            if not isinstance(pair, (tuple, list)) or len(pair) != 2:
-                raise ReductionError(f"edge entry {pair!r} is not a pair")
-            u, v = pair
-            # Exact type: bool is an int subclass, so JSON true would pass as node 1.
-            if type(u) is not int or type(v) is not int:
-                raise ReductionError(f"edge endpoints must be integers: {pair!r}")
-            edges.add((min(u, v), max(u, v)))
-        return cls(n=n, edges=frozenset(edges))
+        """The constructor under another name."""
+        return cls(n, pairs)
 
     def is_connected(self) -> bool:
         """True when all n nodes form a single component."""
@@ -181,14 +188,13 @@ def parse_undirected_graph(text: str) -> UndirectedGraph:
         raise ReductionError(f"malformed JSON: {exc}") from exc
     if not isinstance(doc, dict) or "n" not in doc or "edges" not in doc:
         raise ReductionError('graph document needs "n" and "edges"')
-    n = doc["n"]
-    if type(n) is not int or n < 0:
-        raise ReductionError('"n" must be a non-negative integer')
-    if n > MAX_PARSED_NODES:
+    n, edges = doc["n"], doc["edges"]
+    # The constructor refuses an ``n`` that is not an int.
+    if isinstance(n, int) and n > MAX_PARSED_NODES:
         raise DemandGraphSizeError(f'"n" = {n} exceeds the limit of {MAX_PARSED_NODES} nodes')
-    if not isinstance(doc["edges"], list):
+    if not isinstance(edges, list):
         raise ReductionError('"edges" must be a list of [u, v] pairs')
-    return UndirectedGraph.from_pairs(n, doc["edges"])
+    return UndirectedGraph(n, edges)
 
 
 class ReductionOutput(NamedTuple):
@@ -265,8 +271,7 @@ def reduce_3sat_to_twohop(formula: CnfFormula) -> ReductionOutput:
         negative = _literal_node(m, n, -var)
         forced += [(positive, negative), (negative, positive)]
     # Every clause and literal node also sends to the star.
-    demands = set(forced)
-    demands.update((node, star) for node in range(star))
+    demands = forced + [(node, star) for node in range(star)]
 
     roles: list[dict] = []
     for clause_idx in range(m):
@@ -284,7 +289,7 @@ def reduce_3sat_to_twohop(formula: CnfFormula) -> ReductionOutput:
     for edge_idx, (a, b) in enumerate(forced):
         for arm in range(1, arms + 1):
             u1, u2, u3 = _arm_nodes(base, arms, edge_idx, arm)
-            demands.update(
+            demands.extend(
                 [(u1, u2), (u1, u3), (u2, u3), (u2, a), (u3, a), (u3, b)]
             )
             for pos, node in enumerate((u1, u2, u3), start=1):
@@ -302,7 +307,7 @@ def reduce_3sat_to_twohop(formula: CnfFormula) -> ReductionOutput:
     # The roles were appended in node order.
     return ReductionOutput(
         kind="3sat-to-twohop",
-        graph=DemandGraph(total_nodes, frozenset(demands)),
+        graph=DemandGraph(total_nodes, demands),
         budget=budget,
         roles=tuple(roles),
         forced_edges=tuple(forced),
@@ -372,7 +377,7 @@ def reduce_vertex_cover_to_multihop(g: UndirectedGraph, k: int) -> ReductionOutp
     roles = tuple({"node": v, "role": "original"} for v in range(g.n))
     return ReductionOutput(
         kind="vc-to-multihop",
-        graph=DemandGraph(g.n, frozenset(demands)),
+        graph=DemandGraph(g.n, demands),
         budget=g.n + k - 1,
         roles=roles,
         meta=(("cover_budget", k),),

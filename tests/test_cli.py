@@ -436,9 +436,14 @@ def assert_one_error_line(captured):
         (["gen", "cycle", "--n", "100000000"], ""),
         (["gen", "star", "--n", "65537"], ""),
         (["gen", "random", "--n", "65537"], ""),
+        (["gen", "star", "--n", "0"], ""),
+        (["gen", "random", "--n", "-1"], ""),
+        (["gen", "random", "--p", "1.5"], ""),
+        (["gen", "random", "--p", "nan"], ""),
     ],
     ids=["export-lp-two-components", "vc-n-1e11", "vc-n-65537", "vc-negative-k",
-         "3sat-1e8-vars", "3sat-73-vars", "gen-cycle-1e8", "gen-star-65537", "gen-random-65537"],
+         "3sat-1e8-vars", "3sat-73-vars", "gen-cycle-1e8", "gen-star-65537", "gen-random-65537",
+         "gen-star-0", "gen-random-n-negative", "gen-random-p-1.5", "gen-random-p-nan"],
 )
 def test_refused_input_exits_two(tmp_path, capsys, argv, text):
     path = tmp_path / "input"

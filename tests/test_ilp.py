@@ -208,6 +208,34 @@ def test_highs_calls_share_the_solve_deadline(monkeypatch):
     assert 30 >= budgets[0] > budgets[1]
 
 
+
+# Two bidirected triangles: each part's coordinator plan has 4 flights
+# against a bound of 3, so each part reaches HiGHS.
+TWO_TRIANGLES = DemandGraph.from_pairs(
+    6, [*TRIANGLE.demands, *((u + 3, v + 3) for u, v in TRIANGLE.demands)]
+)
+
+
+@pytest.mark.parametrize(
+    "limits, calls, proven, basis",
+    [(SearchLimits(time_budget=1e-9), 0, False, "budget"), (SearchLimits(), 2, True, "highs")],
+    ids=["deadline-passed", "default"],
+)
+def test_a_passed_deadline_skips_highs(monkeypatch, limits, calls, proven, basis):
+    budgets = []
+
+    def recording(model, limits):
+        budgets.append(limits.time_budget)
+        return solve_binary_model(model, limits)
+
+    monkeypatch.setattr(ilp, "solve_binary_model", recording)
+    result = optimal_twohop_ilp(TWO_TRIANGLES, limits)
+    assert len(budgets) == calls
+    assert (result.count, result.proven_optimal) == (8, proven)
+    assert result.proof == ((basis, 3), (basis, 3))
+    assert verify_twohop(TWO_TRIANGLES, result.plan).satisfied
+
+
 def _violated_rows(model: BinaryModel, values: dict[str, int]) -> list[str]:
     names = [v.name for v in model.variables]
     holds = {"<=": operator.le, ">=": operator.ge, "=": operator.eq}

@@ -7,9 +7,9 @@ nodes with incoming demand are *destinations*; a node may be both.
 
 The JSON interchange format is ``{"n": <int>, "demands": [[src, dst], ...]}``.
 Canonical serialization sorts the demand list lexicographically so that
-identical graphs always produce byte-identical documents.  The
-``DemandGraph`` constructor checks every field, types included; the
-parser adds only the document's shape and a cap of ``MAX_PARSED_NODES``.
+identical graphs always produce byte-identical documents.  Both graph
+inputs, this one and ``reductions.UndirectedGraph``, share one pair check
+(``_checked_pairs``, in their constructors) and one document reader.
 """
 
 from __future__ import annotations
@@ -34,6 +34,26 @@ class DemandGraphSizeError(DemandGraphError):
     """Raised when a parsed graph has more than ``MAX_PARSED_NODES`` nodes."""
 
 
+def _checked_pairs(n: int, pairs, error: type[ValueError], noun: str) -> list[tuple[int, int]]:
+    """``pairs`` as ``(u, v)`` tuples of two distinct ids in ``[0, n)``, or
+    ``error`` raised.  Exact ``int``s only: JSON true would pass as node 1."""
+    if type(n) is not int or n < 0:
+        raise error(f"node count must be a non-negative integer, got {n!r}")
+    checked: list[tuple[int, int]] = []
+    for pair in pairs:
+        if not isinstance(pair, (tuple, list)) or len(pair) != 2:
+            raise error(f"{noun} entry {pair!r} is not a pair")
+        u, v = pair
+        if type(u) is not int or type(v) is not int:
+            raise error(f"{noun} endpoints must be integers: {pair!r}")
+        if u == v:
+            raise error(f"self-{noun} ({u}, {v}) is not allowed")
+        if not (0 <= u < n and 0 <= v < n):
+            raise error(f"{noun} ({u}, {v}) out of range for n={n}")
+        checked.append((u, v))
+    return checked
+
+
 class _DemandGraphFields(NamedTuple):
     n: int
     demands: frozenset[tuple[int, int]]
@@ -46,21 +66,7 @@ class DemandGraph(_DemandGraphFields):
     __slots__ = ()
 
     def __new__(cls, n: int, demands) -> DemandGraph:
-        # Exact type: bool is an int subclass, so JSON true would pass as node 1.
-        if type(n) is not int or n < 0:
-            raise DemandGraphError(f"node count must be a non-negative integer, got {n!r}")
-        checked: list[tuple[int, int]] = []
-        for pair in demands:
-            if not isinstance(pair, (tuple, list)) or len(pair) != 2:
-                raise DemandGraphError(f"demand entry {pair!r} is not a pair")
-            src, dst = pair
-            if type(src) is not int or type(dst) is not int:
-                raise DemandGraphError(f"demand endpoints must be integers: {pair!r}")
-            if src == dst:
-                raise DemandGraphError(f"self-demand ({src}, {dst}) is not allowed")
-            if not (0 <= src < n and 0 <= dst < n):
-                raise DemandGraphError(f"demand ({src}, {dst}) out of range for n={n}")
-            checked.append((src, dst))
+        checked = _checked_pairs(n, demands, DemandGraphError, "demand")
         return tuple.__new__(cls, (n, frozenset(checked)))
 
     @classmethod
@@ -82,23 +88,32 @@ class DemandGraph(_DemandGraphFields):
         return {"n": self.n, "demands": self.sorted_demands()}
 
 
-def parse_demand_graph(text: str) -> DemandGraph:
-    """Parse a demand graph from its JSON document."""
+def _load_json(text: str, error: type[ValueError]):
+    """The document ``text`` holds, or ``error`` raised."""
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except (ValueError, RecursionError) as exc:  # JSONDecodeError, or an int over 4,300 digits
-        raise DemandGraphError(f"malformed JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise DemandGraphError("demand graph document must be a JSON object")
-    if "n" not in doc or "demands" not in doc:
-        raise DemandGraphError('demand graph document needs "n" and "demands"')
-    n, demands = doc["n"], doc["demands"]
+        raise error(f"malformed JSON: {exc}") from exc
+
+
+def _read_pair_document(text: str, key: str, error: type[ValueError], what: str) -> tuple:
+    """``(n, pairs)`` of a ``{"n": ..., key: [...]}`` document for the record to check.
+    Check order sets the exit code: JSON syntax, object and keys, node cap, list."""
+    doc = _load_json(text, error)
+    if not isinstance(doc, dict) or "n" not in doc or key not in doc:
+        raise error(f'{what} document needs "n" and "{key}"')
+    n, pairs = doc["n"], doc[key]
     # The constructor refuses an ``n`` that is not an int.
     if isinstance(n, int) and n > MAX_PARSED_NODES:
         raise DemandGraphSizeError(f'"n" = {n} exceeds the limit of {MAX_PARSED_NODES} nodes')
-    if not isinstance(demands, list):
-        raise DemandGraphError('"demands" must be a list of [src, dst] pairs')
-    return DemandGraph(n, demands)
+    if not isinstance(pairs, list):
+        raise error(f'"{key}" must be a list of pairs')
+    return n, pairs
+
+
+def parse_demand_graph(text: str) -> DemandGraph:
+    """Parse a demand graph from its JSON document."""
+    return DemandGraph(*_read_pair_document(text, "demands", DemandGraphError, "demand graph"))
 
 
 class ComponentPartition(NamedTuple):

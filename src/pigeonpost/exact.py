@@ -72,10 +72,11 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from heapq import heappop, heappush
+from itertools import pairwise
 from typing import NamedTuple
 
 from .demand import DemandGraph, _flight_bound, weakly_connected_components
-from .flightplan import Flight, verify
+from .flightplan import verify
 from .jsonutil import canonical_dumps
 from .planners import (  # SearchLimitError is re-exported for callers of this module
     PlannerResult,
@@ -192,20 +193,16 @@ def _min_covering_walk(
     return walk[::-1]
 
 
-def _flights(walk: list[int]) -> list[Flight]:
-    return [Flight(a, b) for a, b in zip(walk, walk[1:])]
-
-
 def _search_multihop(
     part: DemandGraph, bound: int, cap: int, effort: _Effort
-) -> list[Flight] | None:
+) -> list[tuple[int, int]] | None:
     walk = _min_covering_walk(part.n, part.demands, effort, cap)
-    return None if walk is None else _flights(walk)
+    return None if walk is None else list(pairwise(walk))
 
 
 def _tighten_multihop(
-    part: DemandGraph, incumbent: Sequence[Flight], bound: int, effort: _Effort
-) -> tuple[Sequence[Flight], int]:
+    part: DemandGraph, incumbent: Sequence[tuple[int, int]], bound: int, effort: _Effort
+) -> tuple[Sequence[tuple[int, int]], int]:
     """The shorter of ``incumbent`` and the greedy-DFVS walk (``incumbent``
     on a tie), and ``bound`` raised to ``m - 1`` plus a cycle packing.
     When the budget runs out during the packing, the exception carries
@@ -220,7 +217,7 @@ def _tighten_multihop(
         pred[v] |= 1 << u
     dfvs = fvs.greedy_dfvs(succ, pred, effort.spend)
     if m - 1 + dfvs.bit_count() < len(incumbent):
-        incumbent = _flights(fvs.dfvs_walk(succ, pred, dfvs))
+        incumbent = list(pairwise(fvs.dfvs_walk(succ, pred, dfvs)))
     if len(incumbent) > bound:
         try:
             packing = fvs.cycle_packing(succ, pred, effort.spend)
@@ -324,12 +321,12 @@ class _TwoHopSearch:
 
 def _search_twohop(
     part: DemandGraph, bound: int, cap: int, effort: _Effort
-) -> list[Flight] | None:
+) -> list[tuple[int, int]] | None:
     deepening = _TwoHopSearch(part, effort)
     for k in range(bound, cap + 1):
         found = deepening.find_plan(k)
         if found is not None:
-            return [Flight(a, b) for a, b in found]
+            return found
     return None
 
 

@@ -15,16 +15,16 @@ given routing regime:
 * ``multihop``  - a chain of flights with strictly ascending slots.
 
 Verifiers never raise on unsatisfied demand; they report it, so planner
-output can be debugged demand by demand.  ``Flight`` checks its fields,
-``parse_flight_plan`` only the document's shape.
+output can be debugged demand by demand.  ``FlightPlan`` is the plan's
+one check: it builds each ``Flight`` from a ``(remote, home)`` pair.
 """
 
 from __future__ import annotations
 
-import json
+from itertools import starmap
 from typing import NamedTuple
 
-from .demand import DemandGraph
+from .demand import DemandGraph, _load_json
 from .jsonutil import canonical_dumps
 
 
@@ -62,14 +62,34 @@ class Flight(_FlightFields):
         return cls(*iterable)
 
 
-class FlightPlan(NamedTuple):
-    """Ordered flight sequence; index in ``flights`` is the time slot."""
-
+class _FlightPlanFields(NamedTuple):
     flights: tuple[Flight, ...]
+
+
+class FlightPlan(_FlightPlanFields):
+    """Ordered flight sequence; index in ``flights`` is the time slot.
+    The constructor, its one check, takes any iterable of ``Flight``s or
+    ``(remote, home)`` pairs and refuses anything else."""
+
+    __slots__ = ()
+
+    def __new__(cls, flights=()) -> FlightPlan:
+        flights = list(flights)
+        # Shapes in bulk, at C speed; the loop only names the entry it refuses.
+        if not ({*map(type, flights)} <= {tuple, list, Flight} and {*map(len, flights)} <= {2}):
+            for flight in flights:
+                if not isinstance(flight, (tuple, list)) or len(flight) != 2:
+                    raise FlightPlanError(f"flight entry {flight!r} is not a (remote, home) pair")
+        return tuple.__new__(cls, (tuple(starmap(Flight, flights)),))
+
+    @classmethod
+    def _make(cls, iterable) -> FlightPlan:
+        return cls(*iterable)
 
     @classmethod
     def from_pairs(cls, pairs) -> FlightPlan:
-        return cls(tuple(Flight(remote, home) for remote, home in pairs))
+        """The constructor under another name."""
+        return cls(pairs)
 
     @property
     def count(self) -> int:
@@ -89,18 +109,15 @@ class FlightPlan(NamedTuple):
 
 def parse_flight_plan(text: str) -> FlightPlan:
     """Parse a plan from ``{"flights": [{"remote": r, "home": h}, ...]}``."""
-    try:
-        doc = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # JSONDecodeError, or an int over 4,300 digits
-        raise FlightPlanError(f"malformed JSON: {exc}") from exc
+    doc = _load_json(text, FlightPlanError)
     if not isinstance(doc, dict) or not isinstance(doc.get("flights"), list):
         raise FlightPlanError('plan document needs a "flights" array')
-    flights = []
+    pairs = []
     for entry in doc["flights"]:
         if not isinstance(entry, dict) or "remote" not in entry or "home" not in entry:
             raise FlightPlanError(f"flight entry {entry!r} needs remote and home")
-        flights.append(Flight(entry["remote"], entry["home"]))
-    return FlightPlan(tuple(flights))
+        pairs.append((entry["remote"], entry["home"]))
+    return FlightPlan(pairs)
 
 
 class DirectWitness(NamedTuple):

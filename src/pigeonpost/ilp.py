@@ -47,10 +47,11 @@ left to the solve's one deadline; the node limit applies per call.
 from __future__ import annotations
 
 from functools import partial
+from itertools import groupby, pairwise
 from typing import NamedTuple
 
 from .demand import DemandGraph, weakly_connected_components
-from .flightplan import Flight, FlightPlan
+from .flightplan import FlightPlan
 from .planners import (
     PlannerResult,
     SearchLimits,
@@ -117,11 +118,6 @@ def build_twohop_model(g: DemandGraph, slots: int | None = None) -> BinaryModel:
     """
     n = g.n
     demands = g.sorted_demands()
-    if demands and n < 2:
-        raise ModelError("a graph with demands needs at least two nodes")
-    if n < 2:
-        return BinaryModel([], [], ())
-
     if slots is None:
         slots = 2 * n - 2
     pairs = _ordered_pairs(n)
@@ -390,14 +386,10 @@ def extract_plan(kind: str, model: BinaryModel, assignment: Assignment) -> Fligh
             active[slot] = var.index
 
     if kind == "twohop":
-        flights = [
-            Flight(active[slot][0], active[slot][1]) for slot in sorted(active)
-        ]
-        return FlightPlan(tuple(flights))
+        return FlightPlan(active[slot][:2] for slot in sorted(active))
 
-    walk = [active[slot][0] for slot in sorted(active)]
-    deduped = [v for i, v in enumerate(walk) if i == 0 or v != walk[i - 1]]
-    return FlightPlan(tuple(Flight(a, b) for a, b in zip(deduped, deduped[1:])))
+    walk = [v for v, _ in groupby(active[slot][0] for slot in sorted(active))]
+    return FlightPlan(pairwise(walk))
 
 
 def _format_terms(terms, names: list[str]) -> list[str]:
@@ -484,7 +476,7 @@ def _tighten(kind: str, model: BinaryModel) -> BinaryModel:
 
 def _solve_below(
     kind: str, limits: SearchLimits, part: DemandGraph, bound: int, cap: int, effort: _Effort
-) -> list[Flight] | None:
+) -> tuple[tuple[int, int], ...] | None:
     """Search of ``_search_below_coordinator``: a plan of ``part`` with at
     most ``cap`` flights, from ``_tighten(kind, model)`` with the model
     built at ``cap`` flight slots (2-hop) or ``cap + 1`` walk positions.
@@ -506,7 +498,7 @@ def _solve_below(
     if result.status == "unknown":
         raise _BudgetExhausted
     _verify_assignment(model, result.values)
-    flights = list(extract_plan(kind, model, result).flights)
+    flights = extract_plan(kind, model, result).flights
     if result.status == "feasible":
         raise _BudgetExhausted(flights)
     return flights

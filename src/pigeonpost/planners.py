@@ -37,14 +37,16 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from collections.abc import Callable, Sequence
-from itertools import chain
+from collections.abc import Callable, Iterable, Sequence
+from itertools import chain, pairwise
 from math import gcd
 from typing import NamedTuple
 
 from .demand import DemandGraph, _endpoint_bound, _flight_bound, weakly_connected_components
-from .flightplan import Flight, FlightPlan
+from .flightplan import FlightPlan
 from .jsonutil import canonical_dumps
+
+_Pairs = Sequence[tuple[int, int]]  # a plan's flights as (remote, home) pairs
 
 
 class SearchLimitError(ValueError):
@@ -150,7 +152,7 @@ class PlannerResult(NamedTuple):
 
 def make_result(
     g: DemandGraph,
-    flights: list[Flight],
+    flights: Iterable[tuple[int, int]],
     mode: str,
     algorithm: str,
     proven_optimal: bool = False,
@@ -158,7 +160,7 @@ def make_result(
     proof: tuple[tuple[str, int], ...] = (),
 ) -> PlannerResult:
     return PlannerResult(
-        plan=FlightPlan(tuple(flights)),
+        plan=FlightPlan(flights),
         mode=mode,
         algorithm=algorithm,
         lower_bound=_endpoint_bound(g.demands),  # lower_bound(g).overall
@@ -175,7 +177,7 @@ def plan_singlehop(g: DemandGraph) -> PlannerResult:
     edge needs its own pigeon.  Flights are emitted in sorted order; they
     are mutually independent, so the order carries no meaning.
     """
-    flights = [Flight(src, dst) for src, dst in g.sorted_demands()]
+    flights = g.sorted_demands()
     proof = (("demands", len(flights)),)
     return make_result(g, flights, "singlehop", "direct", proven_optimal=True, proof=proof)
 
@@ -190,14 +192,14 @@ def plan_coordinator(g: DemandGraph) -> PlannerResult:
     """
     partition = weakly_connected_components(g)
     coordinators: list[int] = []
-    gather: list[Flight] = []
-    scatter: list[Flight] = []
+    gather: list[tuple[int, int]] = []
+    scatter: list[tuple[int, int]] = []
     for comp, demands in zip(partition.components, partition.demands):
         degree = Counter(chain.from_iterable(demands))  # in + out degree
         hub = min(comp, key=lambda v: (-degree[v], v))
         coordinators.append(hub)
-        gather.extend(Flight(src, hub) for src in sorted({src for src, _ in demands} - {hub}))
-        scatter.extend(Flight(hub, dst) for dst in sorted({dst for _, dst in demands} - {hub}))
+        gather.extend((src, hub) for src in sorted({src for src, _ in demands} - {hub}))
+        scatter.extend((hub, dst) for dst in sorted({dst for _, dst in demands} - {hub}))
 
     return make_result(
         g,
@@ -216,19 +218,19 @@ def plan_cycle(g: DemandGraph) -> PlannerResult:
     node, so every node's outgoing demand passes every other node.
     """
     partition = weakly_connected_components(g)
-    flights: list[Flight] = []
+    flights: list[tuple[int, int]] = []
     for comp in partition.components:
         nodes = sorted(comp)
         walk = nodes + nodes[:-1]  # v1..vm, v1..v(m-1)
-        flights.extend(Flight(a, b) for a, b in zip(walk, walk[1:]))
+        flights.extend(pairwise(walk))
     return make_result(g, flights, "multihop", "cycle")
 
 
 class _BudgetExhausted(Exception):
-    """The solve's budget ran out.  ``plan`` holds the flights of the best
-    plan of the part found before it did, or None to keep its incumbent."""
+    """The solve's budget ran out.  ``plan`` holds the flight pairs of the
+    best plan of the part found before it did, or None to keep its incumbent."""
 
-    def __init__(self, plan: Sequence[Flight] | None = None):
+    def __init__(self, plan: _Pairs | None = None):
         super().__init__()
         self.plan = plan
 
@@ -281,18 +283,17 @@ def _search_below_coordinator(
     mode: str,
     algorithm: str,
     limits: SearchLimits,
-    search: Callable[[DemandGraph, int, int, _Effort], list[Flight] | None],
-    tighten: Callable[
-        [DemandGraph, Sequence[Flight], int, _Effort], tuple[Sequence[Flight], int]
-    ] | None = None,
+    search: Callable[[DemandGraph, int, int, _Effort], _Pairs | None],
+    tighten: Callable[[DemandGraph, _Pairs, int, _Effort], tuple[_Pairs, int]] | None = None,
 ) -> PlannerResult:
     """The solve policy of the exact and ILP planners.
 
     The parts come from ``_checked_parts``: one per weakly connected
     component, in both regimes, so a part over the size limits is refused
     before any is searched.  ``tighten`` and ``search`` see a part in its
-    local ids ``0..m-1`` and return flights in them; the policy maps the
-    flights it keeps back through the part's ``nodes``.  Each part's bound
+    local ids ``0..m-1`` and return flights in them as ``(remote, home)``
+    pairs; the policy maps the pairs it keeps back through the part's
+    ``nodes``, and ``FlightPlan`` builds the flights.  Each part's bound
     is ``demand._flight_bound``, the one bound of every regime, and its
     incumbent is its coordinator plan.  When that is above the bound and
     the caller passes ``tighten``,
@@ -318,10 +319,10 @@ def _search_below_coordinator(
     parts = _checked_parts(g, limits)
     effort = _Effort(limits)
     searched = "highs" if algorithm == "ilp" else "search"
-    flights: list[Flight] = []
+    flights: list[tuple[int, int]] = []
     proof: list[tuple[str, int]] = []
     for nodes, part, bound in parts:
-        incumbent: Sequence[Flight] = plan_coordinator(part).plan.flights
+        incumbent: _Pairs = plan_coordinator(part).plan.flights
         found = None
         basis = "flight_bound"
         try:
@@ -336,7 +337,7 @@ def _search_below_coordinator(
             found = exhausted.plan
             basis = "budget"
         kept = incumbent if found is None else found
-        flights.extend(Flight(nodes[a], nodes[b]) for a, b in kept)
+        flights.extend((nodes[a], nodes[b]) for a, b in kept)
         proof.append((basis, bound))
     proven = all(basis != "budget" for basis, _ in proof)
     return make_result(g, flights, mode, algorithm, proven_optimal=proven, proof=tuple(proof))

@@ -23,12 +23,12 @@ literals ``m..m+n-1``, negated literals ``m+n..m+2n-1``, star ``m+2n``,
 then three consecutive ids per gadget arm in forced-edge order.
 
 ``CnfFormula`` and ``UndirectedGraph`` check every field, types included,
-in their constructors; the parsers check only the document's shape.
+in their constructors; ``UndirectedGraph`` shares ``DemandGraph``'s pair
+check and document reader, and the parsers check only their input's shape.
 """
 
 from __future__ import annotations
 
-import json
 from itertools import combinations
 from typing import NamedTuple
 
@@ -36,9 +36,11 @@ from .demand import (
     MAX_PARSED_NODES,
     DemandGraph,
     DemandGraphSizeError,
+    _checked_pairs,
+    _read_pair_document,
     weakly_connected_components,
 )
-from .flightplan import Flight, FlightPlan
+from .flightplan import FlightPlan
 from .jsonutil import canonical_dumps
 
 
@@ -56,23 +58,25 @@ class _CnfFormulaFields(NamedTuple):
 
 
 class CnfFormula(_CnfFormulaFields):
-    """3-CNF formula; literals are signed 1-based variable indices, all ``int``."""
+    """3-CNF formula; literals are signed 1-based variable indices, all ``int``.
+    ``clauses`` may be any iterable of three-item tuples or lists."""
 
     __slots__ = ()
 
-    def __new__(cls, num_vars: int, clauses: tuple[tuple[int, int, int], ...]) -> CnfFormula:
+    def __new__(cls, num_vars: int, clauses) -> CnfFormula:
         # Exact type: bool is an int subclass, so True would pass as literal 1.
         if type(num_vars) is not int or num_vars < 0:
             raise CnfError(f"variable count must be a non-negative integer, got {num_vars!r}")
+        clauses = tuple(clauses)
         for clause in clauses:
-            if len(clause) != 3:
-                raise CnfError(f"clause {clause} must have exactly three literals")
+            if not isinstance(clause, (tuple, list)) or len(clause) != 3:
+                raise CnfError(f"clause {clause!r} must have exactly three literals")
             for lit in clause:
                 if type(lit) is not int:
                     raise CnfError(f"literal {lit!r} is not an integer")
                 if lit == 0 or abs(lit) > num_vars:
                     raise CnfError(f"literal {lit} out of range")
-        return tuple.__new__(cls, (num_vars, clauses))
+        return tuple.__new__(cls, (num_vars, tuple(map(tuple, clauses))))
 
     @classmethod
     def _make(cls, iterable) -> CnfFormula:
@@ -137,27 +141,13 @@ class _UndirectedGraphFields(NamedTuple):
 
 class UndirectedGraph(_UndirectedGraphFields):
     """Simple undirected graph; edges stored as (min, max) pairs.  The
-    constructor, its one check, has ``DemandGraph``'s rules and normalises."""
+    constructor, its one check, runs ``demand._checked_pairs`` and normalises."""
 
     __slots__ = ()
 
     def __new__(cls, n: int, edges) -> UndirectedGraph:
-        # Exact type: bool is an int subclass, so JSON true would pass as node 1.
-        if type(n) is not int or n < 0:
-            raise ReductionError(f"node count must be a non-negative integer, got {n!r}")
-        checked: list[tuple[int, int]] = []
-        for pair in edges:
-            if not isinstance(pair, (tuple, list)) or len(pair) != 2:
-                raise ReductionError(f"edge entry {pair!r} is not a pair")
-            u, v = pair
-            if type(u) is not int or type(v) is not int:
-                raise ReductionError(f"edge endpoints must be integers: {pair!r}")
-            if u == v:
-                raise ReductionError(f"self-loop on node {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ReductionError(f"edge ({u}, {v}) out of range for n={n}")
-            checked.append((u, v) if u < v else (v, u))
-        return tuple.__new__(cls, (n, frozenset(checked)))
+        checked = _checked_pairs(n, edges, ReductionError, "edge")
+        return tuple.__new__(cls, (n, frozenset((u, v) if u < v else (v, u) for u, v in checked)))
 
     @classmethod
     def _make(cls, iterable) -> UndirectedGraph:
@@ -180,21 +170,10 @@ def parse_undirected_graph(text: str) -> UndirectedGraph:
     """Parse ``{"n": <int>, "edges": [[u, v], ...]}``.
 
     The vertex cover reduction keeps the node set, so ``n`` may be at most
-    ``MAX_PARSED_NODES``, as for a demand graph document.
+    ``MAX_PARSED_NODES``, as for a demand graph document: both documents
+    have one reader, ``demand._read_pair_document``.
     """
-    try:
-        doc = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # JSONDecodeError, or an int over 4,300 digits
-        raise ReductionError(f"malformed JSON: {exc}") from exc
-    if not isinstance(doc, dict) or "n" not in doc or "edges" not in doc:
-        raise ReductionError('graph document needs "n" and "edges"')
-    n, edges = doc["n"], doc["edges"]
-    # The constructor refuses an ``n`` that is not an int.
-    if isinstance(n, int) and n > MAX_PARSED_NODES:
-        raise DemandGraphSizeError(f'"n" = {n} exceeds the limit of {MAX_PARSED_NODES} nodes')
-    if not isinstance(edges, list):
-        raise ReductionError('"edges" must be a list of [u, v] pairs')
-    return UndirectedGraph(n, edges)
+    return UndirectedGraph(*_read_pair_document(text, "edges", ReductionError, "graph"))
 
 
 class ReductionOutput(NamedTuple):
@@ -344,24 +323,23 @@ def satisfying_assignment_plan(
     arms = meta[ARMS_PER_EDGE]
     base = star + 1
 
-    flights: list[Flight] = []
+    flights: list[tuple[int, int]] = []
     for hop in range(3):
         for edge_idx, (a, _b) in enumerate(reduction.forced_edges):
             for arm in range(1, arms + 1):
                 chain = (*_arm_nodes(base, arms, edge_idx, arm), a)
-                flights.append(Flight(chain[hop], chain[hop + 1]))
+                flights.append((chain[hop], chain[hop + 1]))
     for clause_idx, clause in enumerate(formula.clauses):
         for literal in clause:
-            flights.append(Flight(clause_idx, _literal_node(m, n, literal)))
+            flights.append((clause_idx, _literal_node(m, n, literal)))
     for var in range(1, n + 1):
         positive = _literal_node(m, n, var)
         negative = _literal_node(m, n, -var)
-        flights.append(Flight(positive, negative))
-        flights.append(Flight(negative, positive))
+        flights += [(positive, negative), (negative, positive)]
     for var in range(1, n + 1):
         chosen = var if assignment[var - 1] else -var
-        flights.append(Flight(_literal_node(m, n, chosen), star))
-    return FlightPlan(tuple(flights))
+        flights.append((_literal_node(m, n, chosen), star))
+    return FlightPlan(flights)
 
 
 def reduce_vertex_cover_to_multihop(g: UndirectedGraph, k: int) -> ReductionOutput:

@@ -440,10 +440,13 @@ def assert_one_error_line(captured):
         (["gen", "random", "--n", "-1"], ""),
         (["gen", "random", "--p", "1.5"], ""),
         (["gen", "random", "--p", "nan"], ""),
+        (["bounds", "{path}"], '{"n": 70000, "demands": 5}'),
+        (["reduce", "vc-to-multihop", "{path}", "--k", "1"], '{"n": 70000, "edges": 5}'),
     ],
     ids=["export-lp-two-components", "vc-n-1e11", "vc-n-65537", "vc-negative-k",
          "3sat-1e8-vars", "3sat-73-vars", "gen-cycle-1e8", "gen-star-65537", "gen-random-65537",
-         "gen-star-0", "gen-random-n-negative", "gen-random-p-1.5", "gen-random-p-nan"],
+         "gen-star-0", "gen-random-n-negative", "gen-random-p-1.5", "gen-random-p-nan",
+         "bounds-n-70000-before-demands-type", "vc-n-70000-before-edges-type"],
 )
 def test_refused_input_exits_two(tmp_path, capsys, argv, text):
     path = tmp_path / "input"

@@ -9,6 +9,7 @@ from pigeonpost import (
     parse_demand_graph,
     weakly_connected_components,
 )
+from pigeonpost.demand import DemandGraphSizeError
 from pigeonpost.instances import demo_graph
 
 
@@ -34,11 +35,14 @@ def test_parse_demo_instance():
         '{"n": 2, "demands": [[0, 1, 2]]}',  # not a pair
         '{"n": 3, "demands": [[true, 2]]}',  # boolean endpoint
         '{"n": 3, "demands": [[0, false]]}',  # boolean endpoint
+        '{"n": 3, "demands": {}}',  # demands not a list
     ],
 )
 def test_parse_rejects_invalid(text):
-    with pytest.raises(DemandGraphError):
+    with pytest.raises(DemandGraphError) as refused:
         parse_demand_graph(text)
+    # Unparseable input exits 3; only the node cap's subclass exits 2.
+    assert not isinstance(refused.value, DemandGraphSizeError)
 
 
 def test_duplicates_are_dropped_and_counted():

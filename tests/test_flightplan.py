@@ -14,6 +14,7 @@ from pigeonpost import (
     VerificationReport,
     parse_flight_plan,
     plan_stats,
+    verify,
     verify_multihop,
     verify_singlehop,
     verify_twohop,
@@ -65,11 +66,20 @@ def test_flights_order_by_remote_then_home_and_replace_validates():
 
 @pytest.mark.parametrize(
     "text",
-    ['{"flights": [{"remote": true, "home": 2}]}', '{"flights": [{"remote": 2, "home": false}]}'],
+    [
+        '{"flights": [{"remote": true, "home": 2}]}',
+        '{"flights": [{"remote": 2, "home": false}]}',
+        '{"flights": [{"remote": 1}]}',  # no home
+    ],
 )
 def test_parse_flight_plan_rejects_boolean_endpoints(text):
     with pytest.raises(FlightPlanError):
         parse_flight_plan(text)
+
+
+def test_verify_refuses_an_unknown_mode(demo):
+    with pytest.raises(ValueError, match="unknown mode 'nohop'"):
+        verify("nohop", demo, DEMO_TWOHOP_PLAN)
 
 
 def test_plan_json_round_trip():

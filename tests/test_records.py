@@ -1,10 +1,10 @@
 """Each validating record has one check, its constructor.
 
-Every way to build a ``DemandGraph``, ``UndirectedGraph`` or ``Flight``
-(the constructor, ``from_pairs``, ``_replace`` and the JSON parser) must
-either raise the module's error or return the same record, with the same
-canonical bytes.  The other validating records refuse bools and floats
-where they take counts.
+Every way to build a ``DemandGraph``, ``UndirectedGraph``, ``Flight`` or
+``FlightPlan`` (the constructor, ``from_pairs``, ``_replace`` and the JSON
+parser) must either raise the module's error or return the same record,
+with the same canonical bytes.  The other validating records refuse bools
+and floats where they take counts, and malformed containers.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from pigeonpost import (
     parse_demand_graph,
     parse_flight_plan,
     parse_undirected_graph,
+    verify_twohop,
 )
 
 scalar = st.one_of(st.integers(-1, 9), st.booleans(), st.floats(), st.text(max_size=2))
@@ -134,12 +135,44 @@ def test_every_way_to_build_a_flight_agrees(remote, home):
     _assert_all_refused_or_equal(results, lambda flight: FlightPlan((flight,)).to_json())
 
 
+def _plan_entry(flight):
+    """The parser's entry for one ``FlightPlan`` entry: a pair becomes an
+    object, anything else stays as it is and is refused."""
+    if isinstance(flight, (tuple, list)) and len(flight) == 2:
+        return {"remote": flight[0], "home": flight[1]}
+    return flight
+
+
+endpoint_pair = st.tuples(st.integers(-1, 4), st.integers(-1, 4))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(flights=st.lists(st.one_of(endpoint_pair, endpoint_pair.map(list), item), max_size=5))
+@example(flights=[(0, 0)])
+@example(flights=[(True, 1)])
+@example(flights=[(1, 2, 3)])
+@example(flights=[5])
+@example(flights=[Flight(0, 1), [1, 2], (0, 1)])
+def test_every_way_to_build_a_flight_plan_agrees(flights):
+    results = _outcomes(
+        FlightPlanError,
+        lambda: FlightPlan(flights),
+        lambda: FlightPlan.from_pairs(flights),
+        lambda: FlightPlan(())._replace(flights=flights),
+        lambda: parse_flight_plan(json.dumps({"flights": [_plan_entry(f) for f in flights]})),
+    )
+    _assert_all_refused_or_equal(results, FlightPlan.to_json)
+    if results[0] is not None:
+        assert all(type(flight) is Flight for flight in results[0].flights)
+
+
 @pytest.mark.parametrize(
     "build, error",
     [
         (lambda: DemandGraph(3, frozenset({(True, 2)})), DemandGraphError),
         (lambda: optimal_multihop(DemandGraph(3, frozenset({(0.0, 1.5)}))), DemandGraphError),
         (lambda: FlightPlan((Flight(True, 2),)).to_json(), FlightPlanError),
+        (lambda: FlightPlan([(True, 1)]), FlightPlanError),
         (lambda: UndirectedGraph(3, frozenset({(0.5, 1)})), ReductionError),
         (lambda: DemandGraph(3, ())._replace(demands=frozenset({(0, 2.0)})), DemandGraphError),
         (lambda: DemandGraph(2.5, ()), DemandGraphError),
@@ -152,7 +185,7 @@ def test_every_way_to_build_a_flight_agrees(remote, home):
     ],
     ids=[
         "demand-bool-endpoint", "multihop-float-endpoints", "flight-bool-remote",
-        "undirected-float-endpoint", "replace-float-endpoint", "float-node-count",
+        "plan-bool-remote", "undirected-float-endpoint", "replace-float-endpoint", "float-node-count",
         "limits-float-max-nodes", "limits-float-max-demands", "limits-bool-budget",
         "cnf-bool-literal", "cnf-float-vars", "cnf-bool-vars",
     ],
@@ -160,6 +193,34 @@ def test_every_way_to_build_a_flight_agrees(remote, home):
 def test_records_refuse_bools_and_floats(build, error):
     with pytest.raises(error):
         build()
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: FlightPlan([(0, 0)]), FlightPlanError),
+        (lambda: FlightPlan.from_pairs([(1, 2, 3)]), FlightPlanError),
+        (lambda: FlightPlan([(0, 1)])._replace(flights=[5]), FlightPlanError),
+        (lambda: CnfFormula(3, (5,)), CnfError),
+    ],
+    ids=["plan-self-flight", "plan-triple", "plan-replace-int-entry", "cnf-int-clause"],
+)
+def test_records_refuse_malformed_entries(build, error):
+    with pytest.raises(error):
+        build()
+
+
+def test_checked_plan_verifies():
+    # A plan built from pairs holds flights, so the verifiers can read it.
+    plan = FlightPlan([(0, 1)])
+    assert verify_twohop(DemandGraph(2, [(0, 1)]), plan).satisfied
+
+
+def test_cnf_formula_stores_clauses_as_int_tuples():
+    from_lists = CnfFormula(3, [[1, 2, 3]])
+    assert from_lists == CnfFormula(3, ((1, 2, 3),))
+    assert hash(from_lists) == hash(CnfFormula(3, ((1, 2, 3),)))
+    assert from_lists.clauses == ((1, 2, 3),)
 
 
 def test_time_budget_stays_any_positive_real():

@@ -61,6 +61,12 @@ def test_parse_example_formula():
         "1 2 3 0\n",  # missing header
         "p cnf 3 1\n1 2 3\n",  # unterminated clause
         "p cnf 2 1\n1 2 3 0\n",  # literal out of range
+        "p cnf 3 1\np cnf 3 1\n1 2 3 0\n",  # two problem lines
+        "p cnf 3\n1 2 3 0\n",  # problem line with three fields
+        "p cnf 3 x\n1 2 3 0\n",  # non-integer clause count
+        "p cnf 3 1\n1 2 x 0\n",  # non-integer clause token
+        "c comments only\n",  # missing problem line
+        "p cnf 3 2\n1 2 3 0\n",  # header announces the wrong clause count
     ],
 )
 def test_parse_rejects_malformed(text):

@@ -34,13 +34,21 @@ class DemandGraphSizeError(DemandGraphError):
     """Raised when a parsed graph has more than ``MAX_PARSED_NODES`` nodes."""
 
 
+def _iterate(items, error: type[ValueError], what: str):
+    """An iterator over ``items``, or ``error`` raised when they are not iterable."""
+    try:
+        return iter(items)
+    except TypeError:
+        raise error(f"{what} must be iterable, got {items!r}") from None
+
+
 def _checked_pairs(n: int, pairs, error: type[ValueError], noun: str) -> list[tuple[int, int]]:
     """``pairs`` as ``(u, v)`` tuples of two distinct ids in ``[0, n)``, or
     ``error`` raised.  Exact ``int``s only: JSON true would pass as node 1."""
     if type(n) is not int or n < 0:
         raise error(f"node count must be a non-negative integer, got {n!r}")
     checked: list[tuple[int, int]] = []
-    for pair in pairs:
+    for pair in _iterate(pairs, error, f"{noun}s"):
         if not isinstance(pair, (tuple, list)) or len(pair) != 2:
             raise error(f"{noun} entry {pair!r} is not a pair")
         u, v = pair

@@ -55,22 +55,26 @@ memoizing on the logical state (satisfied demands plus, per open demand,
 the set of relay nodes already holding its data).
 
 Both solvers follow the policy of ``planners._search_below_coordinator``:
-per part, the coordinator plan is the incumbent and
-``demand._flight_bound`` the bound.  Multihop tightens both where they
-differ, with ``fvs``: the incumbent becomes the shorter of the
-coordinator plan and the greedy-DFVS walk, and the bound
-``max(m - 1 + packing, |S|, |D|)``.  A count at the bound is proven
+per part, the incumbent is the coordinator plan or, when that is above
+``demand._flight_bound``, the shorter of it and the regime's own plan,
+the relay plan (2-hop) or the greedy-DFVS walk (multihop); the
+coordinator plan wins ties.  In both regimes the exact solvers then
+raise the bound to ``max(m - 1 + packing, |S|, |D|)`` with ``fvs``.
+That holds for 2-hop too: a relay ``u -> w -> v`` flies in ascending
+slots, so every 2-hop plan is a multihop plan, and no multihop plan has
+fewer than ``m - 1 + packing`` flights.  A count at the bound is proven
 without a search, and otherwise the search looks only for plans with
 fewer flights.  Failing to find one proves the incumbent optimal.  The
-policy holds the solve's one budget: the DFVS bounds and the searches
-spend from it and raise when it runs out, and the policy then keeps the
-incumbent, flagged as not proven.  The result's ``proof`` records each
-part's bound and basis, and ``certify`` checks the plan against them.
+policy holds the solve's one budget: the incumbents, the DFVS bounds and
+the searches spend from it and raise when it runs out, and the policy
+then keeps the best plan found, flagged as not proven.  The result's
+``proof`` records each part's bound and basis, and ``certify`` checks
+the plan against them.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from heapq import heappop, heappush
 from itertools import pairwise
 from typing import NamedTuple
@@ -82,7 +86,6 @@ from .planners import (  # SearchLimitError is re-exported for callers of this m
     PlannerResult,
     SearchLimitError,
     SearchLimits,
-    _BudgetExhausted,
     _Effort,
     _search_below_coordinator,
 )
@@ -200,31 +203,13 @@ def _search_multihop(
     return None if walk is None else list(pairwise(walk))
 
 
-def _tighten_multihop(
-    part: DemandGraph, incumbent: Sequence[tuple[int, int]], bound: int, effort: _Effort
-) -> tuple[Sequence[tuple[int, int]], int]:
-    """The shorter of ``incumbent`` and the greedy-DFVS walk (``incumbent``
-    on a tie), and ``bound`` raised to ``m - 1`` plus a cycle packing.
-    When the budget runs out during the packing, the exception carries
-    the incumbent chosen."""
-    from . import fvs  # only the multihop solves of this module use it
+def _packing_bound(part: DemandGraph, effort: _Effort) -> int:
+    """``m - 1`` plus the cycles of a packing of ``part``'s demand digraph:
+    a lower bound on the multihop flights, hence on the 2-hop ones."""
+    from . import fvs  # only parts above their flight bound need it
 
-    m = part.n
-    succ = [0] * m
-    pred = [0] * m
-    for u, v in part.demands:
-        succ[u] |= 1 << v
-        pred[v] |= 1 << u
-    dfvs = fvs.greedy_dfvs(succ, pred, effort.spend)
-    if m - 1 + dfvs.bit_count() < len(incumbent):
-        incumbent = list(pairwise(fvs.dfvs_walk(succ, pred, dfvs)))
-    if len(incumbent) > bound:
-        try:
-            packing = fvs.cycle_packing(succ, pred, effort.spend)
-        except _BudgetExhausted:
-            raise _BudgetExhausted(incumbent) from None
-        bound = max(bound, m - 1 + len(packing))
-    return incumbent, bound
+    succ, pred = fvs.digraph(part.n, part.demands)
+    return part.n - 1 + len(fvs.cycle_packing(succ, pred, effort.spend))
 
 
 def optimal_multihop(g: DemandGraph, limits: SearchLimits = SearchLimits()) -> PlannerResult:
@@ -239,7 +224,7 @@ def optimal_multihop(g: DemandGraph, limits: SearchLimits = SearchLimits()) -> P
     optimal.
     """
     return _search_below_coordinator(
-        g, "multihop", "exact", limits, _search_multihop, _tighten_multihop
+        g, "multihop", "exact", limits, _search_multihop, _packing_bound
     )
 
 
@@ -334,12 +319,16 @@ def optimal_twohop(g: DemandGraph, limits: SearchLimits = SearchLimits()) -> Pla
     """Provably minimal 2-hop plan via iterative deepening, solved per
     component.
 
-    Per component, flight counts run from its ``demand._flight_bound`` up
-    to one below its coordinator plan's count; the first feasible count
-    is optimal, and when none is, the coordinator plan is.  On budget
-    exhaustion the coordinator plan is returned unproven.
+    Each component's incumbent is the shorter of its coordinator plan and
+    its relay plan, and its bound is ``max(m - 1 + packing, |S|, |D|)``;
+    where they meet, the component is proven with no search.  Otherwise
+    flight counts run from the bound up to one below the incumbent's; the
+    first feasible count is optimal, and when none is, the incumbent is.
+    On budget exhaustion the best plan found is returned unproven.
     """
-    return _search_below_coordinator(g, "twohop", "exact", limits, _search_twohop)
+    return _search_below_coordinator(
+        g, "twohop", "exact", limits, _search_twohop, _packing_bound
+    )
 
 
 class OptimalityCertificate(NamedTuple):

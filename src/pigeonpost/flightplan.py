@@ -24,7 +24,7 @@ from __future__ import annotations
 from itertools import starmap
 from typing import NamedTuple
 
-from .demand import DemandGraph, _load_json
+from .demand import DemandGraph, _iterate, _load_json
 from .jsonutil import canonical_dumps
 
 
@@ -74,7 +74,7 @@ class FlightPlan(_FlightPlanFields):
     __slots__ = ()
 
     def __new__(cls, flights=()) -> FlightPlan:
-        flights = list(flights)
+        flights = list(_iterate(flights, FlightPlanError, "flights"))
         # Shapes in bulk, at C speed; the loop only names the entry it refuses.
         if not ({*map(type, flights)} <= {tuple, list, Flight} and {*map(len, flights)} <= {2}):
             for flight in flights:

@@ -17,7 +17,10 @@ Both bounds first trim the nodes left with no in- or out-neighbour,
 which lie on no cycle (the first of the reductions of Levy & Low, "A
 contraction algorithm for finding small cycle cutsets", J. Algorithms 9,
 1988).  A digraph is given by ``succ`` and ``pred``, one int mask per
-node over local ids ``0..m-1``; it has no self-loops.  Each bound calls
+node over local ids ``0..m-1`` (``digraph`` builds them); it has no
+self-loops.  ``planners`` also orders the arcs of a 2-hop relay plan with
+``greedy_dfvs`` and ``dfvs_walk``, on the digraph linking each relay's
+pickup arc to its delivery arc.  Each bound calls
 ``spend()`` once per greedy pick, redundancy check and breadth-first
 search, so the caller's budget bounds it.
 """
@@ -25,6 +28,16 @@ search, so the caller's budget bounds it.
 from __future__ import annotations
 
 from collections.abc import Callable
+from heapq import heappop, heappush
+
+
+def digraph(n: int, arcs) -> tuple[list[int], list[int]]:
+    """``succ`` and ``pred``, one mask per node, of the digraph ``arcs`` on ``0..n-1``."""
+    succ, pred = [0] * n, [0] * n
+    for u, v in arcs:
+        succ[u] |= 1 << v
+        pred[v] |= 1 << u
+    return succ, pred
 
 
 def _nodes(mask: int) -> list[int]:
@@ -121,11 +134,18 @@ def dfvs_walk(succ: list[int], pred: list[int], dfvs: int) -> list[int]:
 
     Every arc ``(u, v)`` has ``u`` strictly before some occurrence of
     ``v``: ``v`` in ``dfvs`` occurs last, ``u`` in ``dfvs`` occurs first,
-    and between other nodes the order is topological."""
-    walk = _nodes(dfvs)
+    and between other nodes the order is topological.  Kahn's algorithm
+    with a heap of ready ids visits each node and arc once, where a rescan
+    of the nodes left for the next ready one is quadratic in the nodes."""
     rest = (1 << len(succ)) - 1 & ~dfvs
-    while rest:
-        v = next(v for v in _nodes(rest) if not pred[v] & rest)
-        walk.append(v)
-        rest ^= 1 << v
+    waiting = {v: (pred[v] & rest).bit_count() for v in _nodes(rest)}
+    ready = [v for v, count in waiting.items() if not count]
+    walk = _nodes(dfvs)
+    while ready:
+        u = heappop(ready)
+        walk.append(u)
+        for v in _nodes(succ[u] & rest):
+            waiting[v] -= 1
+            if not waiting[v]:
+                heappush(ready, v)
     return walk + _nodes(dfvs)

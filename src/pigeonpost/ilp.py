@@ -31,17 +31,23 @@ of the paper model that use at most ``k`` slots.  The planners
 build one model per part, a weakly connected component in its local ids
 ``0..m-1``; a 2-hop model of a part thus relays through the
 component's own nodes only (see ``exact`` for why that loses nothing).
-Each part's coordinator plan is its incumbent, and when its count meets
-the bound ``demand._flight_bound`` it is returned as proven optimal; no
-model is built and scipy is not imported.  Otherwise they build the
-model at the incumbent's slot count, ``count - 1`` flight slots (2-hop)
-or ``count`` walk positions (multihop), so its solutions are the plans
-with fewer flights than the incumbent.  ``_tighten`` replaces the multihop pairwise
-linking rows by aggregated ones and forces the used 2-hop slots to form
-a prefix.  When HiGHS proves that model infeasible, the incumbent is
-optimal.  A solution is checked against every row of the model as built
-before a plan is extracted.  Every HiGHS call of one solve gets the time
-left to the solve's one deadline; the node limit applies per call.
+Each part's incumbent is the policy's: the coordinator plan or, when
+that is above the bound ``demand._flight_bound``, the shorter of it and
+the relay plan (2-hop) or the greedy-DFVS walk (multihop).  When the
+incumbent meets the bound it is returned as proven optimal; no model is
+built and scipy is not imported.  Otherwise they build the model at the
+incumbent's slot count, ``count - 1`` flight slots (2-hop) or ``count``
+walk positions (multihop), so its solutions are the plans with fewer
+flights than the incumbent.  The incumbent only decides which models
+are solved.  The ILP keeps its own bounds, ``_flight_bound`` and what
+HiGHS proves, and never the exact solvers' cycle-packing bound, so its
+counts stay an independent check of theirs.  ``_tighten`` replaces the
+multihop pairwise linking rows by aggregated ones and forces the used
+2-hop slots to form a prefix.  When HiGHS proves that model
+infeasible, the incumbent is optimal.  A solution is checked against
+every row of the model as built before a plan is extracted.  Every
+HiGHS call of one solve gets the time left to the solve's one deadline;
+the node limit applies per call.
 """
 
 from __future__ import annotations
@@ -506,12 +512,13 @@ def _solve_below(
 
 def optimal_twohop_ilp(g: DemandGraph, limits: SearchLimits = SearchLimits()) -> PlannerResult:
     """2-hop optimum: one slot model per weakly connected component,
-    searched below the coordinator plan.
+    searched below the incumbent.
 
-    Each component's incumbent is its coordinator plan.  When its count
-    meets ``demand._flight_bound`` it is optimal and no model is solved.
-    Otherwise the model has ``count - 1`` slots, so HiGHS either finds a
-    plan with fewer flights or proves, by infeasibility, that none exists.
+    Each component's incumbent is the shorter of its coordinator plan and
+    its relay plan.  When its count meets ``demand._flight_bound`` it is
+    optimal and no model is solved.  Otherwise the model has ``count - 1``
+    slots, so HiGHS either finds a plan with fewer flights or proves, by
+    infeasibility, that none exists.
     """
     search = partial(_solve_below, "twohop", limits)
     return _search_below_coordinator(g, "twohop", "ilp", limits, search)
@@ -520,13 +527,12 @@ def optimal_twohop_ilp(g: DemandGraph, limits: SearchLimits = SearchLimits()) ->
 def optimal_multihop_ilp(g: DemandGraph, limits: SearchLimits = SearchLimits()) -> PlannerResult:
     """Multihop optimum: one walk model per weakly connected component.
 
-    Each component's incumbent is its coordinator plan.  On ``m`` nodes
-    it has at most ``2m - 2`` flights (one per other source, one per
-    other destination), so it never loses to the cycle walk.  An
-    incumbent that meets ``demand._flight_bound`` is optimal and no
-    model is solved.  Otherwise the walk model keeps as many positions
-    as the incumbent has flights, so a solution is a walk with fewer
-    flights, and infeasibility proves the incumbent optimal.
+    Each component's incumbent is the shorter of its coordinator plan and
+    its greedy-DFVS walk.  An incumbent that meets
+    ``demand._flight_bound`` is optimal and no model is solved.
+    Otherwise the walk model keeps as many positions as the incumbent has
+    flights, so a solution is a walk with fewer flights, and
+    infeasibility proves the incumbent optimal.
     """
     search = partial(_solve_below, "multihop", limits)
     return _search_below_coordinator(g, "multihop", "ilp", limits, search)

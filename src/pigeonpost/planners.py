@@ -18,12 +18,24 @@ policy, ``_search_below_coordinator``, and one part rule, in every
 regime: a solve treats each weakly connected component of the demand
 graph as one part, relabelled onto ``0..m-1`` in ascending node order
 (``_checked_parts``), and the size limits apply to each part.  Only the
-policy maps a part's flights back to the graph's node ids.  Per part, the
-coordinator plan is the incumbent and ``demand._flight_bound`` the bound,
-both of which a caller may tighten (exact multihop does), a count at the
-bound is returned as proven optimal with nothing searched, and otherwise
-the solver searches only for plans with fewer flights, keeping the
-incumbent when it finds none.
+policy maps a part's flights back to the graph's node ids.  Per part,
+``demand._flight_bound`` is the bound, which the exact solvers raise by a
+cycle packing, and the policy picks the incumbent once per regime, for
+both algorithms: the coordinator plan, or when it is above the bound the
+shorter of it and a plan built for the regime.
+* 2-hop: the relay plan.  Each demand ``(u, v)`` is served directly or
+  through one relay ``w``; the flights are the arcs this relay assignment
+  ``R`` needs, and a greedy DFVS ``F`` of the digraph ``P(R)`` linking
+  each pickup ``(u, w)`` to its delivery ``(w, v)`` orders them: ``F``,
+  the other arcs in topological order, ``F`` again, ``|arcs(R)| + |F|``
+  flights.  A local search moves one demand at a time from the
+  all-direct assignment and from the hub's (``_RelayAssignment``).
+* Multihop: the greedy-DFVS walk of the demand digraph (``fvs``).
+A count at the bound is returned as proven optimal with nothing
+searched, and otherwise the solver searches only for plans with fewer
+flights, keeping the incumbent when it finds none.  The incumbent only
+saves searching: the exact and ILP solvers keep their own bounds, so the
+ILP stays an independent check of the exact solvers' counts.
 The policy records, per part, the bound it proved against and what
 decided the count; the result carries that as ``PlannerResult.proof``,
 which ``exact.certify`` reads.  The policy holds the solve's one budget,
@@ -182,6 +194,21 @@ def plan_singlehop(g: DemandGraph) -> PlannerResult:
     return make_result(g, flights, "singlehop", "direct", proven_optimal=True, proof=proof)
 
 
+def _hub_flights(
+    nodes: Iterable[int], demands
+) -> tuple[int, list[tuple[int, int]], list[tuple[int, int]]]:
+    """The hub of one component and its gather and scatter flights.
+
+    The hub is the component's maximum total-degree node, smallest id on
+    ties; every other source flies to it, then it flies to every other
+    destination."""
+    degree = Counter(chain.from_iterable(demands))  # in + out degree
+    hub = min(nodes, key=lambda v: (-degree[v], v))
+    gather = [(src, hub) for src in sorted({src for src, _ in demands} - {hub})]
+    scatter = [(hub, dst) for dst in sorted({dst for _, dst in demands} - {hub})]
+    return hub, gather, scatter
+
+
 def plan_coordinator(g: DemandGraph) -> PlannerResult:
     """Gather-and-scatter through a per-component hub (2-approximation).
 
@@ -195,11 +222,10 @@ def plan_coordinator(g: DemandGraph) -> PlannerResult:
     gather: list[tuple[int, int]] = []
     scatter: list[tuple[int, int]] = []
     for comp, demands in zip(partition.components, partition.demands):
-        degree = Counter(chain.from_iterable(demands))  # in + out degree
-        hub = min(comp, key=lambda v: (-degree[v], v))
+        hub, inbound, outbound = _hub_flights(comp, demands)
         coordinators.append(hub)
-        gather.extend((src, hub) for src in sorted({src for src, _ in demands} - {hub}))
-        scatter.extend((hub, dst) for dst in sorted({dst for _, dst in demands} - {hub}))
+        gather.extend(inbound)
+        scatter.extend(outbound)
 
     return make_result(
         g,
@@ -278,56 +304,196 @@ def _checked_parts(
     return parts
 
 
+class _RelayAssignment:
+    """A relay assignment ``R`` of one part: demand ``i = (u, v)`` is
+    served through ``via[i]``, a relay ``w`` or, for a direct flight,
+    ``v`` itself.  Arc ``(a, b)`` is node ``a * m + b`` of ``P(R)``,
+    which links each relay's pickup ``(u, w)`` to its delivery
+    ``(w, v)``; ``users`` counts the demands flying each arc and
+    ``flown`` the arcs flown at all.  A DFVS ``F`` of ``P(R)`` gives a
+    2-hop plan of ``flown + |F|`` flights: ``F``, the other arcs in
+    topological order of ``P(R)``, ``F`` again, so every pickup flies
+    before its delivery."""
+
+    def __init__(self, m: int, demands: _Pairs, via: list[int]):
+        self.m, self.demands, self.via = m, demands, via
+        self.users = [0] * (m * m)
+        self.succ = [0] * (m * m)
+        self.pred = [0] * (m * m)
+        self.flown = 0
+        for i, w in enumerate(via):
+            self._serve(i, w, 1)
+
+    def _serve(self, i: int, w: int, sign: int) -> None:
+        """Add (``sign`` 1) or drop (-1) demand ``i``'s service through ``w``."""
+        m = self.m
+        u, v = self.demands[i]
+        if w == v:
+            arcs: tuple[int, ...] = (u * m + v,)
+        else:
+            pickup, delivery = u * m + w, w * m + v
+            self.succ[pickup] ^= 1 << delivery  # one relayed demand per link
+            self.pred[delivery] ^= 1 << pickup
+            arcs = (pickup, delivery)
+        for a in arcs:
+            before = self.users[a]
+            self.users[a] = before + sign
+            self.flown += (not before) - (not self.users[a])
+
+    def move(self, i: int, w: int) -> None:
+        self._serve(i, self.via[i], -1)
+        self.via[i] = w
+        self._serve(i, w, 1)
+
+    def _dfvs(self) -> int:
+        from . import fvs
+
+        return fvs.greedy_dfvs(self.succ, self.pred, lambda: None)
+
+    def score(self) -> int:
+        """The flights of ``flights()``."""
+        return self.flown + self._dfvs().bit_count()
+
+    def climb(self, target: int, spend: Callable[[], None]) -> int:
+        """Move one demand at a time, to direct service or to a relay one
+        of whose arcs is flown already, while the score falls and is above
+        ``target``; returns the score.  ``spend`` runs once per move
+        tried, before it is made.  A move onto a relay with neither arc
+        flown never beats direct service, so it is not tried."""
+        m, users = self.m, self.users
+        score = self.score()
+        improved = True
+        while improved and score > target:
+            improved = False
+            for i, (u, v) in enumerate(self.demands):
+                old = self.via[i]
+                for w in range(m):
+                    if w == old or w == u or not (
+                        w == v or users[u * m + w] or users[w * m + v]
+                    ):
+                        continue
+                    spend()
+                    self.move(i, w)
+                    # The DFVS only adds flights, so a move that flies no
+                    # fewer arcs than the score is scored no further.
+                    if self.flown < score and (moved := self.score()) < score:
+                        score, improved = moved, True
+                        if score <= target:
+                            return score
+                        break
+                    self.move(i, old)
+        return score
+
+    def flights(self) -> list[tuple[int, int]]:
+        from . import fvs
+
+        dfvs = self._dfvs()
+        walk = fvs.dfvs_walk(self.succ, self.pred, dfvs)
+        return [divmod(a, self.m) for a in walk if self.users[a]]
+
+
+def _relay_plan(
+    part: DemandGraph, hub: int, bound: int, cap: int, effort: _Effort
+) -> _Pairs | None:
+    """2-hop incumbent: the shortest plan of ``_RelayAssignment.climb``
+    from the all-direct assignment and from the hub's, if it has at most
+    ``cap`` flights.  The climbs stop once a score meets ``bound``.
+    When the budget runs out, the exception carries the best plan so far
+    within ``cap``, if any."""
+    demands = part.sorted_demands()
+    starts = ([v for _, v in demands], [v if hub in (u, v) else hub for u, v in demands])
+    best: _RelayAssignment | None = None
+    best_score = cap + 1
+    for via in starts:
+        state = _RelayAssignment(part.n, demands, via)
+        try:
+            score = state.climb(bound, effort.spend)
+        except _BudgetExhausted:
+            if state.score() < best_score:
+                best = state
+            raise _BudgetExhausted(best and best.flights()) from None
+        if score < best_score:
+            best, best_score = state, score
+        if score <= bound:
+            break
+    return best and best.flights()
+
+
+def _walk_plan(
+    part: DemandGraph, hub: int, bound: int, cap: int, effort: _Effort
+) -> _Pairs | None:
+    """Multihop incumbent: the greedy-DFVS walk ``F``, a topological order
+    of the other nodes, ``F`` again, ``m - 1 + |F|`` flights, if that is
+    at most ``cap``."""
+    from . import fvs
+
+    succ, pred = fvs.digraph(part.n, part.demands)
+    dfvs = fvs.greedy_dfvs(succ, pred, effort.spend)
+    if part.n - 1 + dfvs.bit_count() > cap:
+        return None
+    return list(pairwise(fvs.dfvs_walk(succ, pred, dfvs)))
+
+
+_INCUMBENTS = {"twohop": _relay_plan, "multihop": _walk_plan}
+
+
 def _search_below_coordinator(
     g: DemandGraph,
     mode: str,
     algorithm: str,
     limits: SearchLimits,
     search: Callable[[DemandGraph, int, int, _Effort], _Pairs | None],
-    tighten: Callable[[DemandGraph, _Pairs, int, _Effort], tuple[_Pairs, int]] | None = None,
+    raise_bound: Callable[[DemandGraph, _Effort], int] | None = None,
 ) -> PlannerResult:
     """The solve policy of the exact and ILP planners.
 
     The parts come from ``_checked_parts``: one per weakly connected
     component, in both regimes, so a part over the size limits is refused
-    before any is searched.  ``tighten`` and ``search`` see a part in its
-    local ids ``0..m-1`` and return flights in them as ``(remote, home)``
+    before any is searched.  The functions below see a part in its local
+    ids ``0..m-1`` and return flights in them as ``(remote, home)``
     pairs; the policy maps the pairs it keeps back through the part's
-    ``nodes``, and ``FlightPlan`` builds the flights.  Each part's bound
-    is ``demand._flight_bound``, the one bound of every regime, and its
-    incumbent is its coordinator plan.  When that is above the bound and
-    the caller passes ``tighten``,
-    ``tighten(part, incumbent, bound, effort)`` returns an incumbent no
-    longer and a bound no lower (exact multihop: the DFVS walk and the
-    cycle-packing bound).  When the incumbent meets the bound it is
-    optimal and nothing is searched.  Otherwise
+    ``nodes``, and ``FlightPlan`` builds the flights.
+
+    Each part's bound is ``demand._flight_bound``, the one bound of every
+    regime.  Its incumbent is picked once per regime, for both
+    algorithms: the coordinator's flights (``_hub_flights``), and, when
+    they are above the bound, the shorter of them and ``_relay_plan``
+    (2-hop) or ``_walk_plan`` (multihop); the coordinator wins ties.
+    When the incumbent is still above the bound and the caller passes
+    ``raise_bound`` (exact: ``m - 1`` plus a cycle packing), the bound
+    becomes the larger of the two.  When the incumbent meets the bound it
+    is optimal and nothing is searched.  Otherwise
     ``search(part, bound, cap, effort)`` returns the flights of a plan
     with at most ``cap = count - 1`` flights, or None when no such plan
-    exists.  Both raise ``_BudgetExhausted`` when the solve's one budget
-    ``effort`` runs out.  The part then keeps its incumbent, or the plan
-    the exception carries, unproven; later parts are still searched with
-    what is left.
+    exists.  All of them raise ``_BudgetExhausted`` when the solve's one
+    budget ``effort`` runs out.  The part then keeps its incumbent, or the
+    shorter plan the exception carries, unproven; later parts are still
+    searched with what is left.
 
     The result's ``proof`` holds one ``(basis, bound)`` per part: the
-    bound as ``tighten`` left it, and as basis ``flight_bound`` when the
-    incumbent met ``demand._flight_bound``, ``packing`` when it met a
-    bound ``tighten`` raised, ``search`` (exact) or ``highs`` (ILP) when
-    the search decided the count, and ``budget`` when the budget ran out
-    first.  A ``budget`` part is unproven, but its bound is still a lower
-    bound.  The result is proven when no part is ``budget``.
+    bound as ``raise_bound`` left it, and as basis ``flight_bound`` when
+    the incumbent met ``demand._flight_bound``, ``packing`` when it met a
+    raised bound, ``search`` (exact) or ``highs`` (ILP) when the search
+    decided the count, and ``budget`` when the budget ran out first.  A
+    ``budget`` part is unproven, but its bound is still a lower bound.
+    The result is proven when no part is ``budget``.
     """
     parts = _checked_parts(g, limits)
     effort = _Effort(limits)
     searched = "highs" if algorithm == "ilp" else "search"
+    shorter_plan = _INCUMBENTS[mode]
     flights: list[tuple[int, int]] = []
     proof: list[tuple[str, int]] = []
     for nodes, part, bound in parts:
-        incumbent: _Pairs = plan_coordinator(part).plan.flights
+        hub, gather, scatter = _hub_flights(range(part.n), part.demands)
+        incumbent: _Pairs = gather + scatter
         found = None
         basis = "flight_bound"
         try:
-            if tighten is not None and len(incumbent) > bound:
-                incumbent, raised = tighten(part, incumbent, bound, effort)
+            if len(incumbent) > bound:
+                incumbent = shorter_plan(part, hub, bound, len(incumbent) - 1, effort) or incumbent
+            if raise_bound is not None and len(incumbent) > bound:
+                raised = raise_bound(part, effort)
                 if raised > bound:
                     bound, basis = raised, "packing"
             if len(incumbent) > bound:

@@ -37,6 +37,7 @@ from .demand import (
     DemandGraph,
     DemandGraphSizeError,
     _checked_pairs,
+    _iterate,
     _read_pair_document,
     weakly_connected_components,
 )
@@ -67,7 +68,7 @@ class CnfFormula(_CnfFormulaFields):
         # Exact type: bool is an int subclass, so True would pass as literal 1.
         if type(num_vars) is not int or num_vars < 0:
             raise CnfError(f"variable count must be a non-negative integer, got {num_vars!r}")
-        clauses = tuple(clauses)
+        clauses = tuple(_iterate(clauses, CnfError, "clauses"))
         for clause in clauses:
             if not isinstance(clause, (tuple, list)) or len(clause) != 3:
                 raise CnfError(f"clause {clause!r} must have exactly three literals")

@@ -14,6 +14,11 @@ from pigeonpost.instances import demo_graph
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
+# The bidirected triangle: its coordinator plan, 4 flights, is optimal in
+# every regime but singlehop, and above the bound 3, which the cycle
+# packing (2 + 1) does not raise; no relay plan or DFVS walk beats it.
+TRIANGLE = DemandGraph.from_pairs(3, [(0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1)])
+
 
 def fresh_python(*args: str) -> str:
     """Stdout of a new interpreter run with ``args`` and this checkout's ``src``; it must exit 0."""

@@ -14,7 +14,7 @@ from pigeonpost.instances import cycle_graph, demo_graph
 from pigeonpost.planners import plan_coordinator
 from pigeonpost.reductions import parse_undirected_graph
 
-from conftest import fresh_python
+from conftest import TRIANGLE, fresh_python
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -139,9 +139,11 @@ def test_boolean_endpoints_exit_three(demo_file, tmp_path, capsys):
 
 
 def test_strict_budget_exits_four(tmp_path, capsys):
-    # The 4-cycle needs a search: coordinator 6 against a bound of 4.
-    path = tmp_path / "cycle4.json"
-    path.write_text(cycle_graph(4).to_json())
+    # The bidirected triangle needs a search: its incumbent 4 (the
+    # coordinator plan, which the relay plan does not beat) is above its
+    # bound 3, and the budget runs out first.
+    path = tmp_path / "triangle.json"
+    path.write_text(TRIANGLE.to_json())
     code, _ = run(capsys, "solve", str(path), "--mode", "twohop",
                   "--algorithm", "exact", "--budget", "2", "--strict")
     assert code == 4
@@ -505,8 +507,8 @@ def test_generated_and_undirected_graphs_at_the_node_cap(capsys):
 
 def test_ilp_budget_above_highs_32_bit_node_limit(tmp_path, capsys):
     pytest.importorskip("scipy")
-    path = tmp_path / "cycle4.json"
-    path.write_text(cycle_graph(4).to_json())  # incumbent 6 over bound 4: HiGHS runs
+    path = tmp_path / "triangle.json"
+    path.write_text(TRIANGLE.to_json())  # incumbent 4 over bound 3: HiGHS runs
     code, out = run(capsys, "solve", str(path), "--mode", "multihop", "--algorithm", "ilp",
                     "--budget", str(2**31))
     assert code == 0

@@ -24,10 +24,10 @@ from pigeonpost import (
 from pigeonpost import exact, ilp, weakly_connected_components
 from pigeonpost.demand import _endpoint_bound, _flight_bound
 from pigeonpost.fvs import cycle_packing
-from pigeonpost.planners import _Effort
+from pigeonpost.planners import _Effort, _search_below_coordinator
 from pigeonpost.instances import cycle_graph, demo_graph, random_graph, star_graph
 
-from conftest import random_demand_graph, spans_all_nodes
+from conftest import TRIANGLE, random_demand_graph, spans_all_nodes
 
 
 def test_multihop_four_cycle_needs_n_pigeons():
@@ -197,6 +197,7 @@ def test_multihop_matches_astar_oracle_on_random_five_node_graphs():
         assert result.count == multihop_optimum_by_astar(g), (seed, g.sorted_demands())
 
 
+@cache
 def twohop_optima_by_bfs(n: int) -> dict[int, int]:
     """Oracle: fewest 2-hop flights serving each set of ordered pairs on ``n`` nodes.
 
@@ -241,6 +242,41 @@ def test_twohop_matches_bfs_oracle_on_every_four_node_graph():
         assert result.proven_optimal
         assert result.count == expected, g.sorted_demands()
         assert verify_twohop(g, result.plan).satisfied
+
+
+def twohop_incumbent(g: DemandGraph) -> FlightPlan:
+    """The plan a 2-hop solve, exact or ILP, starts from: the solve policy
+    with a search that never finds a shorter plan."""
+    return _search_below_coordinator(g, "twohop", "exact", SearchLimits(), lambda *args: None).plan
+
+
+def check_twohop_incumbent(g: DemandGraph, optimum: int) -> bool:
+    """The incumbent is a 2-hop plan between the optimum and the
+    coordinator plan; returns whether it is under the coordinator plan."""
+    plan = twohop_incumbent(g)
+    assert verify_twohop(g, plan).satisfied, g.sorted_demands()
+    coordinator = plan_coordinator(g).count
+    assert optimum <= plan.count <= coordinator, g.sorted_demands()
+    return plan.count < coordinator
+
+
+def test_twohop_incumbent_on_every_four_node_graph():
+    pairs = list(permutations(range(4), 2))
+    shorter = 0
+    for mask, optimum in twohop_optima_by_bfs(4).items():
+        g = DemandGraph.from_pairs(4, [p for i, p in enumerate(pairs) if (mask >> i) & 1])
+        shorter += check_twohop_incumbent(g, optimum)
+    assert shorter >= 2000, shorter  # 2,135 when written
+
+
+@pytest.mark.parametrize(
+    "n, seeds", [(5, range(100)), (6, range(20)), (7, range(15))], ids=["n5", "n6", "n7"]
+)
+def test_twohop_incumbent_on_seeded_graphs(n, seeds):
+    for seed in seeds:
+        # Sparse at 7 nodes: the oracle takes up to a second at p = 0.25.
+        g = oracle_sample(n, seed) if n < 7 else random_demand_graph(random.Random(seed), 7, 0.2)
+        check_twohop_incumbent(g, twohop_optimum_by_astar(g))
 
 
 def twohop_optimum_by_astar(g: DemandGraph) -> int:
@@ -423,13 +459,14 @@ def test_multihop_incumbent_is_proven_when_no_shorter_walk_exists(monkeypatch):
 
 
 def test_multihop_oversized_component_is_refused_before_any_search(monkeypatch):
-    # The 4-cycle alone would be searched (incumbent 6 over bound 4); the
-    # 11-node cycle after it is over max_nodes=10.
-    cycle4 = [(i, (i + 1) % 4) for i in range(4)]
-    cycle11 = [(4 + i, 4 + (i + 1) % 11) for i in range(11)]
+    # The bidirected triangle alone would be searched (incumbent 4 over
+    # bound 3); the 11-node cycle after it is over max_nodes=10.
+    cycle11 = [(3 + i, 3 + (i + 1) % 11) for i in range(11)]
     caps = record_walk_searches(monkeypatch)
+    assert optimal_multihop(TRIANGLE).proof == (("search", 3),) and caps == [3]
+    caps.clear()
     with pytest.raises(SearchLimitError):
-        optimal_multihop(DemandGraph.from_pairs(15, cycle4 + cycle11))
+        optimal_multihop(DemandGraph.from_pairs(14, list(TRIANGLE.demands) + cycle11))
     assert caps == []
 
 
@@ -525,23 +562,40 @@ def test_twohop_search_starts_at_the_component_bound(monkeypatch):
 
 
 def test_twohop_solves_each_component_on_its_own():
-    # Ten nodes in two 5-node components, each with a coordinator plan of
-    # 6 against bounds 4 and 5; each search proves 5 in milliseconds.
-    left, right = random_graph(5, 0.4, 1), random_graph(5, 0.4, 2)
+    # Ten nodes in two 5-node components, whose incumbents (6 and 8, the
+    # coordinator plans; the relay plans tie them) are above their packing
+    # bounds (5 and 6); each search proves its own count, 5 and 7, in
+    # milliseconds.
+    left, right = random_graph(5, 0.4, 1), random_graph(5, 0.4, 4)
     g = DemandGraph.from_pairs(10, list(left.demands) + [(u + 5, v + 5) for u, v in right.demands])
+    assert (plan_coordinator(left).count, plan_coordinator(right).count) == (6, 8)
     result = optimal_twohop(g)
-    assert (result.count, result.proven_optimal) == (10, True)
-    assert result.proof == (("search", 4), ("search", 5))
+    assert (result.count, result.proven_optimal) == (12, True)
+    assert result.proof == (("search", 5), ("search", 6))
     assert verify_twohop(g, result.plan).satisfied
 
 
 def test_twohop_budget_falls_back_to_coordinator():
-    # The 4-cycle's coordinator plan has 6 flights against a bound of 4.
-    g = cycle_graph(4)
+    # The bidirected triangle's coordinator plan (4 flights) is its
+    # optimum, above the bound 3; the relay climb cannot beat it, and the
+    # budget runs out before the search proves it.
+    g = TRIANGLE
     result = optimal_twohop(g, SearchLimits(expansion_budget=3))
     assert not result.proven_optimal
-    assert result.count == plan_coordinator(g).count == 6
+    assert result.plan == plan_coordinator(g).plan
     assert verify_twohop(g, result.plan).satisfied
+
+
+def test_twohop_budget_run_out_in_the_relay_climb_keeps_the_best_plan_so_far():
+    # Coordinator plan 10 flights, bound 6; the climb from the all-direct
+    # assignment reaches 9 within 5 moves tried and 8 within 54, the
+    # optimum.
+    g = random_graph(6, 0.4, seed=10)
+    assert plan_coordinator(g).count == 10
+    result = optimal_twohop(g, SearchLimits(expansion_budget=5))
+    assert (result.count, result.proven_optimal, result.proof) == (9, False, (("budget", 6),))
+    assert verify_twohop(g, result.plan).satisfied
+    assert optimal_twohop(g).count == 8
 
 
 def test_demo_is_decided_by_the_bound_in_both_solvers(monkeypatch, demo):

@@ -6,15 +6,7 @@ from itertools import combinations, permutations
 import pytest
 
 from pigeonpost import DemandGraph, FlightPlan, verify_multihop
-from pigeonpost.fvs import cycle_packing, dfvs_walk, greedy_dfvs
-
-
-def digraph(n: int, arcs) -> tuple[list[int], list[int]]:
-    succ, pred = [0] * n, [0] * n
-    for u, v in arcs:
-        succ[u] |= 1 << v
-        pred[v] |= 1 << u
-    return succ, pred
+from pigeonpost.fvs import cycle_packing, dfvs_walk, digraph, greedy_dfvs
 
 
 def acyclic(nodes: set[int], arcs) -> bool:
@@ -84,12 +76,39 @@ def test_bounds_on_every_digraph_of_at_most_four_nodes(n):
         check_bounds(n, [p for i, p in enumerate(pairs) if (mask >> i) & 1])
 
 
+def seeded_arcs(n: int, seed: int) -> list[tuple[int, int]]:
+    rng = random.Random(seed)
+    p = rng.choice([0.2, 0.3, 0.4, 0.5, 0.7])
+    return [(a, b) for a, b in permutations(range(n), 2) if rng.random() < p]
+
+
 @pytest.mark.parametrize("n", [5, 6, 7, 8])
 def test_bounds_on_seeded_digraphs(n):
     for seed in range(60):
-        rng = random.Random(seed)
-        p = rng.choice([0.2, 0.3, 0.4, 0.5, 0.7])
-        check_bounds(n, [(a, b) for a, b in permutations(range(n), 2) if rng.random() < p])
+        check_bounds(n, seeded_arcs(n, seed))
+
+
+def rescan_walk(succ: list[int], pred: list[int], dfvs: int) -> list[int]:
+    """``dfvs_walk`` by its definition: after ``dfvs``, the smallest node
+    left with no predecessor left, found by a scan of every node left."""
+    rest = [v for v in range(len(succ)) if not (dfvs >> v) & 1]
+    walk = sorted(members(dfvs))
+    while rest:
+        v = next(v for v in rest if not any((pred[v] >> u) & 1 for u in rest))
+        walk.append(v)
+        rest.remove(v)
+    return walk + sorted(members(dfvs))
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_walk_is_the_smallest_ready_node_first(n):
+    # Kahn's heap of ready ids picks what a rescan picks, for the greedy
+    # DFVS and for every DFVS holding it and one more node.
+    for seed in range(60):
+        succ, pred = digraph(n, seeded_arcs(n, seed))
+        greedy = greedy_dfvs(succ, pred, lambda: None)
+        for dfvs in [greedy] + [greedy | 1 << v for v in range(n) if not (greedy >> v) & 1]:
+            assert dfvs_walk(succ, pred, dfvs) == rescan_walk(succ, pred, dfvs), (seed, dfvs)
 
 
 def test_greedy_drops_the_picks_the_others_make_redundant():

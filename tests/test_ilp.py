@@ -7,6 +7,7 @@ import pytest
 from pigeonpost import (
     BinaryModel,
     DemandGraph,
+    FlightPlan,
     ModelError,
     build_multihop_model,
     build_twohop_model,
@@ -23,16 +24,16 @@ from pigeonpost import (
 )
 from pigeonpost import ilp
 from pigeonpost.exact import SearchLimits
+from pigeonpost.planners import _Effort
 from pigeonpost.ilp import LinearConstraint
 from pigeonpost.instances import cycle_graph, demo_graph, star_graph
 
-from conftest import random_connected_demand_graph, random_demand_graph
+from conftest import TRIANGLE, random_connected_demand_graph, random_demand_graph
 from test_acceptance import _all_connected_graphs_n3
 
 DATA = Path(__file__).parent / "data"
 
 PATH3 = DemandGraph.from_pairs(3, [(0, 1), (1, 2)])
-TRIANGLE = DemandGraph.from_pairs(3, [(0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1)])
 
 
 def count_kinds(model: BinaryModel):
@@ -189,10 +190,18 @@ def solved(monkeypatch):
     return calls
 
 
+# Two bidirected triangles: each part's incumbent has 4 flights against a
+# bound of 3 in both regimes, so each part reaches HiGHS.
+TWO_TRIANGLES = DemandGraph.from_pairs(
+    6, [*TRIANGLE.demands, *((u + 3, v + 3) for u, v in TRIANGLE.demands)]
+)
+
+
 def test_highs_calls_share_the_solve_deadline(monkeypatch):
-    # Two 4-cycles: each component's incumbent (6 flights) is above its
-    # bound (4), so HiGHS runs once per component, each time with what is
-    # left of the solve's one time budget.
+    # Two bidirected triangles: each component's incumbent (4 flights, the
+    # coordinator plan and the DFVS walk alike) is above its bound (3), so
+    # HiGHS runs once per component, each time with what is left of the
+    # solve's one time budget.
     budgets = []
 
     def recording(model, limits):
@@ -200,20 +209,10 @@ def test_highs_calls_share_the_solve_deadline(monkeypatch):
         return solve_binary_model(model, limits)
 
     monkeypatch.setattr(ilp, "solve_binary_model", recording)
-    cycle = [(i, (i + 1) % 4) for i in range(4)]
-    g = DemandGraph.from_pairs(8, cycle + [(u + 4, v + 4) for u, v in cycle])
-    result = optimal_multihop_ilp(g, SearchLimits(time_budget=30))
+    result = optimal_multihop_ilp(TWO_TRIANGLES, SearchLimits(time_budget=30))
     assert (result.count, result.proven_optimal) == (8, True)
     assert len(budgets) == 2
     assert 30 >= budgets[0] > budgets[1]
-
-
-
-# Two bidirected triangles: each part's coordinator plan has 4 flights
-# against a bound of 3, so each part reaches HiGHS.
-TWO_TRIANGLES = DemandGraph.from_pairs(
-    6, [*TRIANGLE.demands, *((u + 3, v + 3) for u, v in TRIANGLE.demands)]
-)
 
 
 @pytest.mark.parametrize(
@@ -249,11 +248,16 @@ def _violated_rows(model: BinaryModel, values: dict[str, int]) -> list[str]:
     ]
 
 
+# A 4-node graph whose greedy-DFVS walk (5 flights) is above its multihop
+# optimum (4), and so is its coordinator plan (6); in 2-hop the relay plan
+# finds the optimum.
+WALK5 = DemandGraph.from_pairs(4, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 0), (3, 1)])
+
 TIGHTENED_CASES = [(f"n3-{i}", g) for i, g in enumerate(_all_connected_graphs_n3())]
-TIGHTENED_CASES += [("demo", demo_graph()), ("cycle4", cycle_graph(4))]
+TIGHTENED_CASES += [("demo", demo_graph()), ("cycle4", cycle_graph(4)), ("walk5", WALK5)]
 
 
-def _incumbent_and_bound(g: DemandGraph) -> tuple[int, int]:
+def _coordinator_and_bound(g: DemandGraph) -> tuple[int, int]:
     """The coordinator count of a connected ``g`` and the bound
     ``max(m - 1, |S|, |D|)`` the planner holds it to in either regime."""
     hub = plan_coordinator(g)
@@ -261,32 +265,37 @@ def _incumbent_and_bound(g: DemandGraph) -> tuple[int, int]:
 
 
 @pytest.mark.parametrize(
-    "planner, exact, build",
+    "planner, exact, build, slack",
     [
-        (optimal_twohop_ilp, optimal_twohop, build_twohop_model),
-        (optimal_multihop_ilp, optimal_multihop, build_multihop_model),
+        (optimal_twohop_ilp, optimal_twohop, build_twohop_model, 1),
+        (optimal_multihop_ilp, optimal_multihop, build_multihop_model, 0),
     ],
     ids=["twohop", "multihop"],
 )
-def test_tightened_solve_keeps_optimum_and_paper_rows(solved, planner, exact, build):
-    # All 54 connected 3-node graphs, the demo and the 4-cycle.
-    assert len(TIGHTENED_CASES) == 56
+def test_tightened_solve_keeps_optimum_and_paper_rows(solved, planner, exact, build, slack):
+    # All 54 connected 3-node graphs, the demo, the 4-cycle and WALK5.
+    assert len(TIGHTENED_CASES) == 57
     paths = set()
     for label, g in TIGHTENED_CASES:
         solved.clear()
         result = planner(g)
         assert result.proven_optimal, label
         assert result.count == exact(g).count, label
-        incumbent, bound = _incumbent_and_bound(g)
+        coordinator, bound = _coordinator_and_bound(g)
         if not solved:
-            # Decided by the bound, without a solver call.
-            assert result.count == incumbent == bound, label
+            # Decided by the bound, without a solver call: the incumbent,
+            # the coordinator plan or a shorter one, met it.
+            assert bound == result.count <= coordinator, label
             paths.add("bound")
             continue
-        ((_, assignment),) = solved
+        ((model, assignment),) = solved
+        # The model holds the plans below the incumbent: one flight slot
+        # fewer than its flights (2-hop), or one walk position per flight.
+        incumbent = max(v.index[-1] for v in model.variables) + slack
+        assert bound < incumbent <= coordinator, label
         if assignment.status == "infeasible":
             # Nothing beats the incumbent, which is returned as proven.
-            assert result.count == incumbent > bound, label
+            assert result.count == incumbent, label
             paths.add("infeasible")
             continue
         assert assignment.proven_optimal, label
@@ -299,11 +308,17 @@ def test_tightened_solve_keeps_optimum_and_paper_rows(solved, planner, exact, bu
 
 
 def test_solved_multihop_model_is_the_tightened_one(solved):
-    # The 4-cycle's coordinator plan has 6 flights and reaches HiGHS.
-    result = optimal_multihop_ilp(cycle_graph(4))
-    assert result.count == 4 and result.proven_optimal
-    ((model, _),) = solved
-    # 6 walk positions (the incumbent's flights) x 4 nodes; 4 demands x C(6, 2) pairs
+    # The 4-cycle below its coordinator plan (6 flights, cap 5): the policy
+    # now proves it by the DFVS walk, so the search is called directly.
+    g = cycle_graph(4)
+    assert plan_coordinator(g).count == 6
+    limits = SearchLimits()
+    flights = ilp._solve_below("multihop", limits, g, 4, 5, _Effort(limits))
+    assert len(flights) == 4
+    assert verify_multihop(g, FlightPlan(flights)).satisfied
+    ((model, assignment),) = solved
+    assert assignment.proven_optimal
+    # 6 walk positions (the cap's flights plus one) x 4 nodes; 4 demands x C(6, 2) pairs
     assert len(model.variables) == 24 + 60
     # 6 slot + 4 serve + 4 demands x (5 out + 5 in) linking rows
     assert len(model.constraints) == 6 + 4 + 40
@@ -330,14 +345,25 @@ def test_infeasible_model_proves_the_incumbent(solved):
     assert result.plan == hub.plan and result.algorithm == "ilp"
 
 
-@pytest.mark.parametrize("planner", [optimal_twohop_ilp, optimal_multihop_ilp])
-def test_solve_finds_a_plan_below_the_incumbent(solved, planner):
-    g = cycle_graph(4)
+# Graphs whose incumbent is above the optimum 4: in 2-hop the coordinator
+# plan (5), which the relay plan does not beat; in multihop the DFVS walk
+# (5), under the coordinator plan (6).
+RELAY5 = DemandGraph.from_pairs(4, [(0, 1), (0, 2), (0, 3), (1, 0), (2, 0)])
+
+
+@pytest.mark.parametrize(
+    "planner, g, slack",
+    [(optimal_twohop_ilp, RELAY5, 1), (optimal_multihop_ilp, WALK5, 0)],
+    ids=["optimal_twohop_ilp", "optimal_multihop_ilp"],
+)
+def test_solve_finds_a_plan_below_the_incumbent(solved, planner, g, slack):
     result = planner(g)
-    ((_, assignment),) = solved
+    ((model, assignment),) = solved
     assert assignment.proven_optimal
     assert result.proven_optimal
-    assert result.count == 4 < plan_coordinator(g).count == 6
+    # The model is built at the incumbent's count, as in the test above.
+    assert max(v.index[-1] for v in model.variables) + slack == 5
+    assert result.count == 4 < 5 <= plan_coordinator(g).count
 
 
 def test_twohop_count_at_the_component_bound_calls_no_solver(solved):

@@ -59,8 +59,9 @@ def files(tmp_path_factory):
     graph.write_text(demo_graph().to_json())
     plan = root / "plan.json"
     plan.write_text(plan_coordinator(demo_graph()).plan.to_json())
-    # Its coordinator plan (4 flights) is above the bound (3), so an exact
-    # multihop solve builds the DFVS incumbent and bound.
+    # Its coordinator plan (4 flights) is above the bound (3), so every
+    # optimal solve builds the relay plan or the DFVS walk; each meets the
+    # bound, so nothing is searched.
     cycle = root / "cycle3.json"
     cycle.write_text(cycle_graph(3).to_json())
     return {"graph": str(graph), "plan": str(plan), "cycle": str(cycle)}
@@ -99,8 +100,9 @@ PLAN_MODULES = {"pigeonpost.flightplan", "pigeonpost.planners"}
         (("gen", "random", "--n", "8"), PLAN_MODULES),
         (("bounds", "{graph}"), PLAN_MODULES),
         (("verify", "{graph}", "{plan}", "--mode", "multihop"), {"pigeonpost.planners"}),
-        (("solve", "{cycle}", "--mode", "twohop", "--algorithm", "exact"), {"pigeonpost.fvs"}),
-        (("solve", "{cycle}", "--mode", "multihop", "--algorithm", "ilp"), {"pigeonpost.fvs"}),
+        # The demo's coordinator plan meets the bound: no incumbent is built.
+        (("solve", "{graph}", "--mode", "twohop", "--algorithm", "exact"), {"pigeonpost.fvs"}),
+        (("solve", "{graph}", "--mode", "multihop", "--algorithm", "ilp"), {"pigeonpost.fvs"}),
         (("solve", "{cycle}", "--mode", "multihop", "--algorithm", "cycle"), {"pigeonpost.fvs"}),
     ],
     ids=["gen", "gen-random", "bounds", "verify", "solve-twohop-exact", "solve-multihop-ilp",
@@ -164,6 +166,24 @@ def test_multihop_exact_solve_loads_the_dfvs_core(files):
     code, modules = cli_modules("solve", files["cycle"], "--mode", "multihop", "--algorithm", "exact")
     assert code == 0
     assert modules & (SOLVER_MODULES | {"pigeonpost.fvs"}) == {"pigeonpost.exact", "pigeonpost.fvs"}
+
+
+@pytest.mark.parametrize(
+    "mode, algorithm, solver",
+    [
+        ("twohop", "exact", "pigeonpost.exact"),
+        ("twohop", "ilp", "pigeonpost.ilp"),
+        ("multihop", "ilp", "pigeonpost.ilp"),
+    ],
+    ids=["twohop-exact", "twohop-ilp", "multihop-ilp"],
+)
+def test_an_incumbent_above_the_bound_loads_the_dfvs_core(files, mode, algorithm, solver):
+    # The relay plan and the DFVS walk meet the 3-cycle's bound, so the
+    # ILP solves load no scipy either.
+    code, modules = cli_modules("solve", files["cycle"], "--mode", mode, "--algorithm", algorithm)
+    assert code == 0
+    assert modules & (SOLVER_MODULES | {"pigeonpost.fvs"}) == {solver, "pigeonpost.fvs"}
+    assert not {m.split(".")[0] for m in modules} & {"scipy", "numpy"}
 
 
 @pytest.mark.parametrize(

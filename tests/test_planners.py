@@ -5,6 +5,7 @@ import pytest
 
 from pigeonpost import (
     DemandGraph,
+    FlightPlan,
     SearchLimitError,
     SearchLimits,
     lower_bound,
@@ -21,9 +22,9 @@ from pigeonpost import (
     weakly_connected_components,
 )
 from pigeonpost.instances import cycle_graph, demo_graph, star_graph
-from pigeonpost.planners import _checked_parts
+from pigeonpost.planners import _checked_parts, _RelayAssignment
 
-from conftest import random_demand_graph
+from conftest import TRIANGLE, random_demand_graph
 
 
 def test_singlehop_demo(demo):
@@ -123,10 +124,11 @@ def test_time_budget_none_is_refused():
         SearchLimits(time_budget=None)
 
 
-# Both graphs are searched in both modes but multihop demo, whose coordinator
-# plan meets its bound; on the 4-cycle HiGHS runs in both modes.
-@pytest.mark.parametrize("graph, optimum", [(demo_graph(), 5), (cycle_graph(4), 4)],
-                         ids=["demo", "cycle4"])
+# The demo's coordinator plan meets its bound in both modes, and the
+# 4-cycle's relay plan and DFVS walk meet it; the bidirected triangle's
+# incumbent does not, so the exact search and HiGHS run.
+@pytest.mark.parametrize("graph, optimum", [(demo_graph(), 5), (cycle_graph(4), 4), (TRIANGLE, 4)],
+                         ids=["demo", "cycle4", "triangle"])
 @pytest.mark.parametrize(
     "solve",
     [optimal_twohop, optimal_multihop, optimal_twohop_ilp, optimal_multihop_ilp],
@@ -154,8 +156,8 @@ def test_parts_are_the_components_in_local_ids():
     ids=["exact-twohop", "exact-multihop", "ilp-twohop", "ilp-multihop"],
 )
 def test_size_limits_apply_to_each_component(solve):
-    # Two 3-cycles, 6 nodes and 6 demands in all; each is searched (the
-    # coordinator plan has 4 flights against a bound of 3) and needs 3.
+    # Two 3-cycles, 6 nodes and 6 demands in all; each is a part of 3
+    # nodes and 3 demands and needs 3 flights.
     if solve.__name__.endswith("_ilp"):
         pytest.importorskip("scipy")
     g = DemandGraph.from_pairs(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
@@ -164,3 +166,21 @@ def test_size_limits_apply_to_each_component(solve):
     for limits in (SearchLimits(max_nodes=2), SearchLimits(max_demands=2)):
         with pytest.raises(SearchLimitError):
             solve(g, limits)
+
+
+def test_relay_plan_flies_a_feedback_set_of_its_links_twice():
+    # The 3-cycle 0 -> 2 -> 1 -> 0, each demand relayed around the other
+    # way: the links (0, 1) -> (1, 2) -> (2, 0) -> (0, 1) form a cycle, so
+    # one of the 3 arcs flies before and after the others.
+    g = DemandGraph.from_pairs(3, [(0, 2), (1, 0), (2, 1)])
+    state = _RelayAssignment(3, g.sorted_demands(), [1, 2, 0])
+    assert (state.flown, state.score()) == (3, 4)
+    flights = state.flights()
+    assert flights == [(0, 1), (1, 2), (2, 0), (0, 1)]
+    assert verify_twohop(g, FlightPlan(flights)).satisfied
+    # A local optimum: serving one demand directly breaks the cycle but
+    # adds an arc.  Each demand's one other option is tried once.
+    spent = []
+    assert state.climb(3, lambda: spent.append(1)) == 4
+    assert len(spent) == 3
+    assert state.flights() == flights

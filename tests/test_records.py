@@ -202,8 +202,15 @@ def test_records_refuse_bools_and_floats(build, error):
         (lambda: FlightPlan.from_pairs([(1, 2, 3)]), FlightPlanError),
         (lambda: FlightPlan([(0, 1)])._replace(flights=[5]), FlightPlanError),
         (lambda: CnfFormula(3, (5,)), CnfError),
+        (lambda: FlightPlan(5), FlightPlanError),
+        (lambda: DemandGraph(3, 5), DemandGraphError),
+        (lambda: UndirectedGraph(3, 5), ReductionError),
+        (lambda: CnfFormula(3, 5), CnfError),
     ],
-    ids=["plan-self-flight", "plan-triple", "plan-replace-int-entry", "cnf-int-clause"],
+    ids=[
+        "plan-self-flight", "plan-triple", "plan-replace-int-entry", "cnf-int-clause",
+        "plan-int-flights", "demand-int-demands", "undirected-int-edges", "cnf-int-clauses",
+    ],
 )
 def test_records_refuse_malformed_entries(build, error):
     with pytest.raises(error):

@@ -17,37 +17,55 @@ this is proven and the rest is checked:
   ``u -> r -> v`` in the same two slots; when ``u`` or ``v`` is ``r``,
   the one flight kept serves ``(u, v)`` directly.  Every other flight
   stays, so the plan serves every demand with no more flights.
-* Nodes of another component are never needed, nor, under multihop,
-  nodes with no demands.  This is not proven: ``tests/test_exact.py``
-  checks it in both regimes against oracles that search any flights
-  between any nodes, on every pair of weakly connected 2- and 3-node
-  demand classes, alone and with an extra node without demands.
+* Under 2-hop, nodes of another component are never needed.  This is
+  not proven: ``tests/test_exact.py`` checks it in both regimes against
+  oracles that search any flights between any nodes, on every pair of
+  weakly connected 2- and 3-node demand classes, alone and with an extra
+  node without demands.
+* Under multihop, neither kind of node is ever needed: the bound below
+  counts the flights of any plan, through any nodes.
 
-Multihop: within one weakly connected component there is always an
-optimal solution in which exactly one pigeon flies at a time and each
-pigeon starts where the previous one landed, i.e. the flights form a
-single node walk.  A demand ``(u, v)`` is served by a walk exactly when
-``u`` occurs strictly before some occurrence of ``v``, that is when
-``first(u) < last(v)``.  The optimum of a part is its shortest covering
-walk, found here by a uniform-cost search with an admissible distance
-bound over states ``(current node, appeared set, satisfied demand
-set)``.  Each state is packed into one int with the satisfied set laid
-out by node pair, so a move costs one shift and a few masks, and the
-bound is updated from the parent's in O(1) instead of being recomputed
-over the unserved demands.
+Multihop: let component ``i`` have ``m_i`` nodes and let ``tau_i`` be the
+size of a minimum directed feedback vertex set (DFVS) of its demand
+digraph.  Every plan has at least ``sum(m_i - 1 + tau_i)`` flights.  Run
+through its flights in time order with a union-find over all nodes; a
+flight is a *tree flight* when it joins two sets and a *cycle flight*
+otherwise, and ``X`` is the set of homes of the cycle flights.
 
-The walk form also bounds a component of ``m`` nodes from both sides
-through its minimum directed feedback vertex set (DFVS) size ``tau``.
-Below: every node lies on a demand, so a covering walk visits all
-``m``.  For two nodes visited once, ``first = last``, so a demand
-between them runs forward in the walk; the nodes visited once are thus
-acyclic under the demands, and the repeated nodes form a DFVS.  A walk
-that repeats ``r >= tau`` nodes visits at least ``m + r`` times, which
-is ``m - 1 + r`` flights, and each of ``packing`` vertex-disjoint
-demand cycles holds a repeated node: a plan needs at least
-``m - 1 + tau >= m - 1 + packing`` flights.  Above: for any DFVS ``F``,
-the walk ``F``, a topological order of the other nodes, ``F`` again
-serves every demand in ``m - 1 + |F|`` flights (``fvs.dfvs_walk``).
+1. Data moves only along flights, so once ``u``'s data is at ``v``, the
+   two share a set.  When it first reaches ``v`` by a tree flight
+   ``a -> v`` at time ``t``, ``u`` shares a set with ``a`` before ``t``
+   and ``a`` does not share one with ``v``: ``u`` and ``v`` are joined
+   at ``t`` and not before.
+2. ``X`` is a DFVS.  Take a demand cycle with no node in ``X``; every
+   flight into its nodes is a tree flight, and each demand of the cycle
+   is served by a flight into a different node.  Of its demands, take
+   ``(u, v)``, served last, at ``t``.  The others, served before ``t``,
+   joined ``v`` to ``u`` around the cycle before ``t``, against 1.  So
+   ``|X| >= tau``, and ``tau`` is ``sum(tau_i)``, since every cycle lies
+   in one component.
+3. Each component ends inside one set, so the sets are at most the
+   components plus the nodes outside them, and the tree flights, the
+   graph's ``n`` nodes minus the number of sets, are at least
+   ``sum(m_i - 1)``.  The cycle flights are at least ``|X|``.
+
+Above: for any DFVS ``F``, the walk ``F``, a topological order of the
+other nodes, ``F`` again serves every demand in ``m - 1 + |F|`` flights
+(``fvs.dfvs_walk``).  So the multihop optimum is exactly
+``sum(m_i - 1 + tau_i)``: it adds up over the components, needs no node
+outside them, and one walk per component meets it.  Each of ``packing``
+vertex-disjoint demand cycles holds a node of ``X``, so every plan also
+has at least ``m - 1 + packing`` flights per component.
+
+The search of a part is thus one over walks.  A demand ``(u, v)`` is
+served by a walk exactly when ``u`` occurs strictly before some
+occurrence of ``v``, that is when ``first(u) < last(v)``.  The optimum of
+a part is its shortest covering walk, found here by a uniform-cost
+search with an admissible distance bound over states ``(current node,
+appeared set, satisfied demand set)``.  Each state is packed into one
+int with the satisfied set laid out by node pair, so a move costs one
+shift and a few masks, and the bound is updated from the parent's in
+O(1) instead of being recomputed over the unserved demands.
 
 2-hop: no walk normal form exists, so the solver iteratively deepens
 over ordered flight sequences, pruning flights that make no progress and

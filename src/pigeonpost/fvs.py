@@ -23,6 +23,11 @@ self-loops.  ``planners`` also orders the arcs of a 2-hop relay plan with
 pickup arc to its delivery arc.  Each bound calls
 ``spend()`` once per greedy pick, redundancy check and breadth-first
 search, so the caller's budget bounds it.
+
+A bitset operation costs ``O(N / 64)`` machine words on ``N`` ids, and
+``_trim``, ``_nodes`` and ``dfvs_walk`` take one per set bit, so they are
+quadratic in ``N``.  Pass only the ids that exist: ``planners`` numbers
+the flown arcs of a relay plan ``0..k-1``, not all ``m * m`` arc ids.
 """
 
 from __future__ import annotations

@@ -378,6 +378,11 @@ def extract_plan(kind: str, model: BinaryModel, assignment: Assignment) -> Fligh
     compacted preserving order.  Multihop: active walk positions become
     flights between consecutive distinct nodes.
     """
+    return FlightPlan(_plan_pairs(kind, model, assignment))
+
+
+def _plan_pairs(kind: str, model: BinaryModel, assignment: Assignment) -> list[tuple[int, int]]:
+    """The flights of ``extract_plan`` as ``(remote, home)`` pairs."""
     if not assignment.feasible:
         raise ModelError("cannot extract a plan from an infeasible assignment")
     if kind not in ("twohop", "multihop"):
@@ -392,10 +397,10 @@ def extract_plan(kind: str, model: BinaryModel, assignment: Assignment) -> Fligh
             active[slot] = var.index
 
     if kind == "twohop":
-        return FlightPlan(active[slot][:2] for slot in sorted(active))
+        return [active[slot][:2] for slot in sorted(active)]
 
     walk = [v for v, _ in groupby(active[slot][0] for slot in sorted(active))]
-    return FlightPlan(pairwise(walk))
+    return list(pairwise(walk))
 
 
 def _format_terms(terms, names: list[str]) -> list[str]:
@@ -481,30 +486,37 @@ def _tighten(kind: str, model: BinaryModel) -> BinaryModel:
 
 
 def _solve_below(
-    kind: str, limits: SearchLimits, part: DemandGraph, bound: int, cap: int, effort: _Effort
-) -> tuple[tuple[int, int], ...] | None:
+    kind: str, part: DemandGraph, bound: int, cap: int, effort: _Effort
+) -> list[tuple[int, int]] | None:
     """Search of ``_search_below_coordinator``: a plan of ``part`` with at
     most ``cap`` flights, from ``_tighten(kind, model)`` with the model
     built at ``cap`` flight slots (2-hop) or ``cap + 1`` walk positions.
     HiGHS finds its own bounds, so ``bound`` is not used.
+
+    No model is built once the deadline has passed, and HiGHS gets the
+    time left to it.  Its node limit is ``effort.limits.expansion_budget``
+    per call, not a share of the solve's expansions: scipy reports no
+    node count for an infeasible result, the usual one here, so the nodes
+    a call took cannot be charged to ``effort``.
 
     A solution must also satisfy every row of the model as built, so a
     transform bug raises ``ModelError`` rather than yield a wrong plan.
     Infeasible proves that no such plan exists.  When a limit runs out,
     ``_BudgetExhausted`` carries the plan HiGHS has found, if any.
     """
+    effort.time_left()  # raises once the deadline has passed
     if kind == "twohop":
         model = build_twohop_model(part, cap)
     else:
         model = build_multihop_model(part, cap + 1)
-    limits = limits._replace(time_budget=effort.time_left())
+    limits = effort.limits._replace(time_budget=effort.time_left())
     result = solve_binary_model(_tighten(kind, model), limits)
     if result.status == "infeasible":
         return None
     if result.status == "unknown":
         raise _BudgetExhausted
     _verify_assignment(model, result.values)
-    flights = extract_plan(kind, model, result).flights
+    flights = _plan_pairs(kind, model, result)
     if result.status == "feasible":
         raise _BudgetExhausted(flights)
     return flights
@@ -520,8 +532,7 @@ def optimal_twohop_ilp(g: DemandGraph, limits: SearchLimits = SearchLimits()) ->
     slots, so HiGHS either finds a plan with fewer flights or proves, by
     infeasibility, that none exists.
     """
-    search = partial(_solve_below, "twohop", limits)
-    return _search_below_coordinator(g, "twohop", "ilp", limits, search)
+    return _search_below_coordinator(g, "twohop", "ilp", limits, partial(_solve_below, "twohop"))
 
 
 def optimal_multihop_ilp(g: DemandGraph, limits: SearchLimits = SearchLimits()) -> PlannerResult:
@@ -534,5 +545,6 @@ def optimal_multihop_ilp(g: DemandGraph, limits: SearchLimits = SearchLimits()) 
     flights, so a solution is a walk with fewer flights, and
     infeasibility proves the incumbent optimal.
     """
-    search = partial(_solve_below, "multihop", limits)
-    return _search_below_coordinator(g, "multihop", "ilp", limits, search)
+    return _search_below_coordinator(
+        g, "multihop", "ilp", limits, partial(_solve_below, "multihop")
+    )

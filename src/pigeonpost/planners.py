@@ -41,8 +41,9 @@ decided the count; the result carries that as ``PlannerResult.proof``,
 which ``exact.certify`` reads.  The policy holds the solve's one budget,
 ``_Effort``: an expansion count and a deadline
 ``SearchLimits.time_budget`` seconds away, 60 by default and never absent
-(``math.inf`` for none).  It is the only place that handles the budget
-running out.
+(``math.inf`` for none).  Every spend reads the clock, so a solve
+overruns its deadline by at most the step that was running.  The policy
+is the only place that handles the budget running out.
 """
 
 from __future__ import annotations
@@ -262,18 +263,19 @@ class _BudgetExhausted(Exception):
 
 
 class _Effort:
-    """The budget of one solve: expansions left and the deadline."""
+    """The budget of one solve: its limits, expansions left and the deadline."""
 
     def __init__(self, limits: SearchLimits):
+        self.limits = limits
         self.remaining = limits.expansion_budget
         self.deadline = time.monotonic() + limits.time_budget
 
     def spend(self) -> None:
-        """Count one expansion; the clock is read every 1,024."""
+        """Count one expansion and check the deadline.  A clock read costs
+        tens of nanoseconds and a step microseconds or more, so every
+        step reads it."""
         self.remaining -= 1
-        if self.remaining < 0:
-            raise _BudgetExhausted
-        if self.remaining % 1024 == 0 and time.monotonic() > self.deadline:
+        if self.remaining < 0 or time.monotonic() > self.deadline:
             raise _BudgetExhausted
 
     def time_left(self) -> float:
@@ -307,52 +309,51 @@ def _checked_parts(
 class _RelayAssignment:
     """A relay assignment ``R`` of one part: demand ``i = (u, v)`` is
     served through ``via[i]``, a relay ``w`` or, for a direct flight,
-    ``v`` itself.  Arc ``(a, b)`` is node ``a * m + b`` of ``P(R)``,
-    which links each relay's pickup ``(u, w)`` to its delivery
-    ``(w, v)``; ``users`` counts the demands flying each arc and
-    ``flown`` the arcs flown at all.  A DFVS ``F`` of ``P(R)`` gives a
-    2-hop plan of ``flown + |F|`` flights: ``F``, the other arcs in
-    topological order of ``P(R)``, ``F`` again, so every pickup flies
-    before its delivery."""
+    ``v`` itself.  Arc ``(a, b)`` has key ``a * m + b``, and ``users``
+    counts the demands flying each flown arc.  ``P(R)`` is the digraph on
+    the flown arcs that links each relay's pickup ``(u, w)`` to its
+    delivery ``(w, v)``.  A DFVS ``F`` of ``P(R)`` gives a 2-hop plan of
+    ``len(users) + |F|`` flights: ``F``, the other arcs in topological
+    order of ``P(R)``, ``F`` again, so every pickup flies before its
+    delivery."""
 
     def __init__(self, m: int, demands: _Pairs, via: list[int]):
         self.m, self.demands, self.via = m, demands, via
-        self.users = [0] * (m * m)
-        self.succ = [0] * (m * m)
-        self.pred = [0] * (m * m)
-        self.flown = 0
+        self.users: dict[int, int] = {}
         for i, w in enumerate(via):
             self._serve(i, w, 1)
 
     def _serve(self, i: int, w: int, sign: int) -> None:
         """Add (``sign`` 1) or drop (-1) demand ``i``'s service through ``w``."""
-        m = self.m
+        m, users = self.m, self.users
         u, v = self.demands[i]
-        if w == v:
-            arcs: tuple[int, ...] = (u * m + v,)
-        else:
-            pickup, delivery = u * m + w, w * m + v
-            self.succ[pickup] ^= 1 << delivery  # one relayed demand per link
-            self.pred[delivery] ^= 1 << pickup
-            arcs = (pickup, delivery)
-        for a in arcs:
-            before = self.users[a]
-            self.users[a] = before + sign
-            self.flown += (not before) - (not self.users[a])
+        for a in (u * m + v,) if w == v else (u * m + w, w * m + v):
+            users[a] = users.get(a, 0) + sign
+            if not users[a]:
+                del users[a]
 
     def move(self, i: int, w: int) -> None:
         self._serve(i, self.via[i], -1)
         self.via[i] = w
         self._serve(i, w, 1)
 
-    def _dfvs(self) -> int:
+    def _ordered(self) -> tuple[list[int], list[int], list[int], int]:
+        """The flown arcs' keys ascending, and ``succ``, ``pred`` and the
+        greedy DFVS of ``P(R)`` over positions in that list.  Positions
+        keep the keys' order, so the DFVS's tie-breaks and
+        ``fvs.dfvs_walk``'s order are those of the keys."""
         from . import fvs
 
-        return fvs.greedy_dfvs(self.succ, self.pred, lambda: None)
+        m, keys = self.m, sorted(self.users)
+        index = {a: k for k, a in enumerate(keys)}
+        served = zip(self.demands, self.via)
+        links = [(index[u * m + w], index[w * m + v]) for (u, v), w in served if w != v]
+        succ, pred = fvs.digraph(len(keys), links)
+        return keys, succ, pred, fvs.greedy_dfvs(succ, pred, lambda: None)
 
     def score(self) -> int:
         """The flights of ``flights()``."""
-        return self.flown + self._dfvs().bit_count()
+        return len(self.users) + self._ordered()[3].bit_count()
 
     def climb(self, target: int, spend: Callable[[], None]) -> int:
         """Move one demand at a time, to direct service or to a relay one
@@ -369,14 +370,14 @@ class _RelayAssignment:
                 old = self.via[i]
                 for w in range(m):
                     if w == old or w == u or not (
-                        w == v or users[u * m + w] or users[w * m + v]
+                        w == v or u * m + w in users or w * m + v in users
                     ):
                         continue
                     spend()
                     self.move(i, w)
                     # The DFVS only adds flights, so a move that flies no
                     # fewer arcs than the score is scored no further.
-                    if self.flown < score and (moved := self.score()) < score:
+                    if len(users) < score and (moved := self.score()) < score:
                         score, improved = moved, True
                         if score <= target:
                             return score
@@ -387,9 +388,8 @@ class _RelayAssignment:
     def flights(self) -> list[tuple[int, int]]:
         from . import fvs
 
-        dfvs = self._dfvs()
-        walk = fvs.dfvs_walk(self.succ, self.pred, dfvs)
-        return [divmod(a, self.m) for a in walk if self.users[a]]
+        keys, succ, pred, dfvs = self._ordered()
+        return [divmod(keys[k], self.m) for k in fvs.dfvs_walk(succ, pred, dfvs)]
 
 
 def _relay_plan(

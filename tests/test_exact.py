@@ -1,16 +1,21 @@
 import heapq
 import math
 import random
+import time
 from functools import cache
+from graphlib import TopologicalSorter
 from itertools import combinations_with_replacement, permutations, product
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pigeonpost import (
     DemandGraph,
     FlightPlan,
     SearchLimitError,
     SearchLimits,
+    UndirectedGraph,
     certify,
     lower_bound,
     optimal_multihop,
@@ -18,6 +23,7 @@ from pigeonpost import (
     plan_coordinator,
     plan_cycle,
     plan_singlehop,
+    reduce_vertex_cover_to_multihop,
     verify_multihop,
     verify_twohop,
 )
@@ -195,6 +201,46 @@ def test_multihop_matches_astar_oracle_on_random_five_node_graphs():
         result = optimal_multihop(g)
         assert result.proven_optimal
         assert result.count == multihop_optimum_by_astar(g), (seed, g.sorted_demands())
+
+
+flight_sequences = st.integers(2, 9).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda f: f[0] != f[1]),
+            max_size=20,
+        ),
+    )
+)
+
+
+@given(flight_sequences)
+def test_cycle_flight_homes_are_a_dfvs_of_the_pairs_any_plan_serves(case):
+    # The multihop lower bound of the ``exact`` docstring, on any flights:
+    # a flight that joins two union-find sets is a tree flight, any other
+    # a cycle flight, and the homes ``X`` of the cycle flights leave the
+    # served pairs acyclic.  No solver and no oracle is involved.
+    n, flights = case
+    carried = [{v} for v in range(n)]  # whose data each node holds
+    parent = list(range(n))
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    homes = set()
+    for remote, home in flights:
+        carried[home] |= carried[remote]
+        a, b = find(remote), find(home)
+        if a == b:
+            homes.add(home)
+        else:
+            parent[a] = b
+    rest = {v: carried[v] - homes - {v} for v in range(n) if v not in homes}
+    TopologicalSorter(rest).prepare()  # raises CycleError on a cycle
+    components = len({find(v) for v in range(n)})
+    assert len(flights) >= n - components + len(homes)
 
 
 @cache
@@ -515,12 +561,45 @@ def test_multihop_search_below_the_optimum_stops_at_its_cap(g, cap, expansions):
 
 
 def test_multihop_time_budget_falls_back_to_the_incumbent():
-    # The clock is read at least every 1,024 expansions, and the search
-    # takes 3,291, so a deadline already passed stops it first.
+    # Every expansion reads the clock, so a deadline already passed stops
+    # the greedy DFVS at its first pick, and the coordinator plan is kept.
     g = FALLBACK_GRAPH
     result = optimal_multihop(g, SearchLimits(time_budget=1e-9))
     assert not result.proven_optimal
-    assert result.plan == FALLBACK_WALK
+    assert result.proof == (("budget", 7),)  # the flight bound, not yet raised
+    assert result.plan == plan_coordinator(g).plan
+
+
+def vertex_cover_reduction(n: int) -> DemandGraph:
+    """The vertex-cover reduction of a connected graph on ``n`` nodes: a
+    random tree, node ``i`` joined to an earlier one, plus each other
+    pair with probability ``2 / n``.  At 600 nodes it has 2,366 demands."""
+    rng = random.Random(n)
+    edges = {(rng.randrange(i), i) for i in range(1, n)}
+    edges |= {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 2 / n}
+    return reduce_vertex_cover_to_multihop(UndirectedGraph(n, edges), 1).graph
+
+
+@pytest.mark.parametrize(
+    "n, seconds",
+    [(600, 1.0), pytest.param(2000, 2.0, marks=pytest.mark.slow)],
+)
+@pytest.mark.parametrize(
+    "solve, verifier",
+    [(optimal_multihop, verify_multihop), (optimal_twohop, verify_twohop)],
+    ids=["multihop", "twohop"],
+)
+def test_deadline_holds_past_the_default_limits(n, seconds, solve, verifier):
+    # Every step of the incumbents, the bounds and the searches reads the
+    # clock, and no step takes more than milliseconds at these sizes, so
+    # a solve ends within half a second of its deadline.
+    g = vertex_cover_reduction(n)
+    limits = SearchLimits(max_nodes=n, max_demands=len(g.demands), time_budget=seconds)
+    start = time.monotonic()
+    result = solve(g, limits)
+    assert time.monotonic() - start < seconds + 0.5
+    assert not result.proven_optimal
+    assert verifier(g, result.plan).satisfied
 
 
 def test_twohop_path_demands_direct_is_optimal():

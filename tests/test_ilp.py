@@ -312,8 +312,7 @@ def test_solved_multihop_model_is_the_tightened_one(solved):
     # now proves it by the DFVS walk, so the search is called directly.
     g = cycle_graph(4)
     assert plan_coordinator(g).count == 6
-    limits = SearchLimits()
-    flights = ilp._solve_below("multihop", limits, g, 4, 5, _Effort(limits))
+    flights = ilp._solve_below("multihop", g, 4, 5, _Effort(SearchLimits()))
     assert len(flights) == 4
     assert verify_multihop(g, FlightPlan(flights)).satisfied
     ((model, assignment),) = solved

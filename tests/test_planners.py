@@ -174,7 +174,7 @@ def test_relay_plan_flies_a_feedback_set_of_its_links_twice():
     # one of the 3 arcs flies before and after the others.
     g = DemandGraph.from_pairs(3, [(0, 2), (1, 0), (2, 1)])
     state = _RelayAssignment(3, g.sorted_demands(), [1, 2, 0])
-    assert (state.flown, state.score()) == (3, 4)
+    assert (len(state.users), state.score()) == (3, 4)
     flights = state.flights()
     assert flights == [(0, 1), (1, 2), (2, 0), (0, 1)]
     assert verify_twohop(g, FlightPlan(flights)).satisfied

@@ -70,7 +70,15 @@ O(1) instead of being recomputed over the unserved demands.
 2-hop: no walk normal form exists, so the solver iteratively deepens
 over ordered flight sequences, pruning flights that make no progress and
 memoizing on the logical state (satisfied demands plus, per open demand,
-the set of relay nodes already holding its data).
+the set of relay nodes already holding its data).  A prefix is cut when
+its length plus a distance bound is over the flight count tried: the
+larger of the number of nodes that are the destination of an unserved
+demand and the number that are the source of an unserved demand no
+relay holds.  It is admissible: each such destination still needs a
+flight into it, each such source a flight out of it, and a flight
+arrives at one node and leaves one.  With a demand mask per node and
+the set of demands a relay holds carried down the search, it costs one
+mask test per node, not a pass over the demands.
 
 Both solvers follow the policy of ``planners._search_below_coordinator``:
 per part, the incumbent is the coordinator plan or, when that is above
@@ -247,7 +255,17 @@ def optimal_multihop(g: DemandGraph, limits: SearchLimits = SearchLimits()) -> P
 
 
 class _TwoHopSearch:
-    """Depth-first search for a feasible 2-hop plan of exactly ``k`` flights."""
+    """Depth-first search for a feasible 2-hop plan of exactly ``k`` flights.
+
+    Demand ``i`` is bit ``i`` of a demand mask.  A node of the search
+    carries ``satisfied``, ``pending`` (per demand, the relays holding its
+    data) and ``opened`` (the demands whose ``pending`` entry is not
+    empty).  ``into`` and ``out_of`` hold, per node with demands, the
+    demands into and out of it, so ``_distance_bound`` (the flights still
+    needed into the destinations of the unserved demands, or out of the
+    sources of the unserved and unopened ones) costs one mask test per
+    node.
+    """
 
     def __init__(self, g: DemandGraph, effort: _Effort):
         self.effort = effort
@@ -256,9 +274,15 @@ class _TwoHopSearch:
         self.full = (1 << len(self.demands)) - 1
         self.by_src: dict[int, list[tuple[int, int]]] = {}
         self.by_dst: dict[int, list[tuple[int, int]]] = {}
+        into = [0] * g.n
+        out_of = [0] * g.n
         for i, (u, v) in enumerate(self.demands):
             self.by_src.setdefault(u, []).append((i, v))
             self.by_dst.setdefault(v, []).append((i, u))
+            into[v] |= 1 << i
+            out_of[u] |= 1 << i
+        self.into = [mask for mask in into if mask]
+        self.out_of = [mask for mask in out_of if mask]
         self.universe = [
             (a, b) for a in range(g.n) for b in range(g.n) if a != b
         ]
@@ -266,24 +290,34 @@ class _TwoHopSearch:
     def find_plan(self, k: int) -> list[tuple[int, int]] | None:
         self.memo: dict[tuple[int, tuple[int, ...]], int] = {}
         self.prefix: list[tuple[int, int]] = []
-        if self._dfs(0, k, 0, [0] * len(self.demands)):
+        if self._dfs(0, k, 0, [0] * len(self.demands), 0):
             return list(self.prefix)
         return None
 
-    def _distance_bound(self, satisfied: int, pending: list[int]) -> int:
+    def _distance_bound(self, satisfied: int, opened: int) -> int:
+        """A lower bound on the flights still needed: every unserved
+        demand's destination needs a flight into it, every unserved demand
+        whose data no relay holds needs a flight out of its source, and
+        one flight arrives at one node and leaves one.  One mask test per
+        node with demands."""
+        unserved = self.full & ~satisfied
+        unopened = unserved & ~opened
         arrivals = 0
+        for mask in self.into:
+            if mask & unserved:
+                arrivals += 1
         departures = 0
-        for i, (u, v) in enumerate(self.demands):
-            if not (satisfied >> i) & 1:
-                arrivals |= 1 << v
-                if pending[i] == 0:
-                    departures |= 1 << u
-        return max(arrivals.bit_count(), departures.bit_count())
+        for mask in self.out_of:
+            if mask & unopened:
+                departures += 1
+        return arrivals if arrivals > departures else departures
 
-    def _dfs(self, depth: int, k: int, satisfied: int, pending: list[int]) -> bool:
+    def _dfs(
+        self, depth: int, k: int, satisfied: int, pending: list[int], opened: int
+    ) -> bool:
         if satisfied == self.full:
             return True
-        if depth + self._distance_bound(satisfied, pending) > k:
+        if depth + self._distance_bound(satisfied, opened) > k:
             return False
         key = (satisfied, tuple(pending))
         seen = self.memo.get(key)
@@ -300,12 +334,14 @@ class _TwoHopSearch:
                 if not ((satisfied | served) >> i) & 1 and (pending[i] >> a) & 1:
                     served |= 1 << i
             new_satisfied = satisfied | served
+            new_opened = opened & ~served
             new_pending: list[int] | None = None
             for i, v in self.by_src.get(a, ()):
                 if v != b and not (new_satisfied >> i) & 1 and not (pending[i] >> b) & 1:
                     if new_pending is None:
                         new_pending = list(pending)
                     new_pending[i] |= 1 << b
+                    new_opened |= 1 << i
             if not served and new_pending is None:
                 continue  # neither serves nor opens a relay: dead weight
             if new_pending is None:
@@ -316,7 +352,7 @@ class _TwoHopSearch:
                 served &= served - 1
             self.effort.spend()
             self.prefix.append((a, b))
-            if self._dfs(depth + 1, k, new_satisfied, new_pending):
+            if self._dfs(depth + 1, k, new_satisfied, new_pending, new_opened):
                 return True
             self.prefix.pop()
         return False

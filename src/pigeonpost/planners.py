@@ -42,8 +42,13 @@ which ``exact.certify`` reads.  The policy holds the solve's one budget,
 ``_Effort``: an expansion count and a deadline
 ``SearchLimits.time_budget`` seconds away, 60 by default and never absent
 (``math.inf`` for none).  Every spend reads the clock, so a solve
-overruns its deadline by at most the step that was running.  The policy
-is the only place that handles the budget running out.
+overruns its deadline by at most the step that was running, except for
+the multihop A* (``exact._min_covering_walk``): it stops at the
+deadline, but freeing its state table, which grows with the time it is
+given, comes on top.  With the size limits raised, ``random_graph(16,
+0.3, seed=1)`` under a 5 s budget returns at 5.3 s, at a peak RSS near
+0.5 GB (2-core VM).  The policy is the only place that handles the
+budget running out.
 """
 
 from __future__ import annotations

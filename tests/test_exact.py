@@ -30,7 +30,7 @@ from pigeonpost import (
 from pigeonpost import exact, ilp, weakly_connected_components
 from pigeonpost.demand import _endpoint_bound, _flight_bound
 from pigeonpost.fvs import cycle_packing
-from pigeonpost.planners import _Effort, _search_below_coordinator
+from pigeonpost.planners import _BudgetExhausted, _checked_parts, _Effort, _search_below_coordinator
 from pigeonpost.instances import cycle_graph, demo_graph, random_graph, star_graph
 
 from conftest import TRIANGLE, random_demand_graph, spans_all_nodes
@@ -675,6 +675,82 @@ def test_twohop_budget_run_out_in_the_relay_climb_keeps_the_best_plan_so_far():
     assert (result.count, result.proven_optimal, result.proof) == (9, False, (("budget", 6),))
     assert verify_twohop(g, result.plan).satisfied
     assert optimal_twohop(g).count == 8
+
+
+def twohop_search(g: DemandGraph, bound: int, cap: int) -> tuple[list | None, int]:
+    """The 2-hop deepening's plan of ``g``'s one part from ``bound`` to
+    ``cap`` flights, and the expansions it took."""
+    ((_, part, _),) = _checked_parts(g, SearchLimits())
+    limits = SearchLimits()
+    effort = _Effort(limits)
+    plan = exact._search_twohop(part, bound, cap, effort)
+    return plan, limits.expansion_budget - effort.remaining
+
+
+# Expansions of the 2-hop deepening, measured on the search that rescanned
+# every demand for its distance bound.  The bound, the memo keys and the
+# order of the children decide which prefixes are expanded; a change in
+# these counts means the search expands other prefixes.
+@pytest.mark.parametrize(
+    ("g", "bound", "cap", "expansions", "flights"),
+    [
+        (random_graph(5, 0.4, seed=7), 6, 7, 2169, 7),
+        (random_graph(7, 0.3, seed=3), 6, 7, 11244, None),
+        (random_graph(6, 0.4, seed=4), 6, 8, 122827, None),
+    ],
+    ids=["found5", "none7", "none6"],
+)
+def test_twohop_expansion_count_is_pinned(g, bound, cap, expansions, flights):
+    plan, spent = twohop_search(g, bound, cap)
+    assert spent == expansions
+    if flights is None:
+        assert plan is None
+    else:
+        assert len(plan) == flights
+        assert verify_twohop(g, FlightPlan.from_pairs(plan)).satisfied
+
+
+def rescanned_distance_bound(demands, satisfied: int, pending: list[int]) -> int:
+    """The 2-hop distance bound from a pass over every demand: the
+    destinations of the unserved demands, or the sources of those whose
+    data no relay holds, whichever are more."""
+    arrivals = departures = 0
+    for i, (u, v) in enumerate(demands):
+        if not (satisfied >> i) & 1:
+            arrivals |= 1 << v
+            if pending[i] == 0:
+                departures |= 1 << u
+    return max(arrivals.bit_count(), departures.bit_count())
+
+
+def test_twohop_distance_bound_equals_the_demand_rescan(monkeypatch):
+    # At every node of the deepening, ``opened`` must be the demands a
+    # relay holds and the per-node bound must equal the rescan.  Each
+    # search stops after 2,000 expansions.
+    nodes = {"all": 0, "opened": 0}
+
+    class CheckedSearch(exact._TwoHopSearch):
+        def _dfs(self, depth, k, satisfied, pending, opened):
+            assert opened == sum(1 << i for i, relays in enumerate(pending) if relays)
+            assert self._distance_bound(satisfied, opened) == rescanned_distance_bound(
+                self.demands, satisfied, pending
+            )
+            nodes["all"] += 1
+            nodes["opened"] += opened != 0
+            return super()._dfs(depth, k, satisfied, pending, opened)
+
+    monkeypatch.setattr(exact, "_TwoHopSearch", CheckedSearch)
+    rng = random.Random(1)
+    for _ in range(200):
+        g = random_demand_graph(rng, rng.randint(3, 7), rng.choice([0.2, 0.3, 0.4, 0.5]))
+        for _, part, bound in _checked_parts(g, SearchLimits()):
+            effort = _Effort(SearchLimits(expansion_budget=2000))
+            try:
+                exact._search_twohop(part, bound, bound + 2, effort)
+            except _BudgetExhausted:
+                pass
+    assert nodes["all"] > 100_000
+    assert nodes["opened"] > nodes["all"] // 2
 
 
 def test_demo_is_decided_by_the_bound_in_both_solvers(monkeypatch, demo):

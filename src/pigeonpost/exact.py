@@ -69,8 +69,8 @@ O(1) instead of being recomputed over the unserved demands.
 
 2-hop: no walk normal form exists, so the solver iteratively deepens
 over ordered flight sequences, pruning flights that make no progress and
-memoizing on the logical state (satisfied demands plus, per open demand,
-the set of relay nodes already holding its data).  A prefix is cut when
+memoizing on the logical state (satisfied demands plus, per relay node,
+the set of unserved demands whose data it holds).  A prefix is cut when
 its length plus a distance bound is over the flight count tried: the
 larger of the number of nodes that are the destination of an unserved
 demand and the number that are the source of an unserved demand no
@@ -78,7 +78,9 @@ relay holds.  It is admissible: each such destination still needs a
 flight into it, each such source a flight out of it, and a flight
 arrives at one node and leaves one.  With a demand mask per node and
 the set of demands a relay holds carried down the search, it costs one
-mask test per node, not a pass over the demands.
+mask test per node, not a pass over the demands.  Likewise a flight
+``a -> b`` finds the demands it serves and opens from the masks of
+``a`` and ``b`` alone, with no pass over the demands.
 
 Both solvers follow the policy of ``planners._search_below_coordinator``:
 per part, the incumbent is the coordinator plan or, when that is above
@@ -258,39 +260,41 @@ class _TwoHopSearch:
     """Depth-first search for a feasible 2-hop plan of exactly ``k`` flights.
 
     Demand ``i`` is bit ``i`` of a demand mask.  A node of the search
-    carries ``satisfied``, ``pending`` (per demand, the relays holding its
-    data) and ``opened`` (the demands whose ``pending`` entry is not
-    empty).  ``into`` and ``out_of`` hold, per node with demands, the
-    demands into and out of it, so ``_distance_bound`` (the flights still
-    needed into the destinations of the unserved demands, or out of the
-    sources of the unserved and unopened ones) costs one mask test per
-    node.
+    carries ``satisfied``, ``held`` (per node ``w``, the unserved demands
+    whose data sits at relay ``w``) and ``opened`` (the union of
+    ``held``), and is memoized on ``(satisfied, held)``.  ``into`` and
+    ``out_of`` hold the demands into and out of each node, so a flight
+    ``a -> b`` serves ``(direct | held[a] & into[b]) & unserved``, opens
+    the unserved ``out_of[a]`` demands that are neither served nor held
+    at ``b``, and costs a few mask operations plus, per child, one copy
+    of ``held``.  ``_distance_bound`` (the flights still needed into the
+    destinations of the unserved demands, or out of the sources of the
+    unserved and unopened ones) costs one mask test per node.
     """
 
     def __init__(self, g: DemandGraph, effort: _Effort):
         self.effort = effort
         self.demands = sorted(g.demands)
-        self.demand_index = {d: i for i, d in enumerate(self.demands)}
         self.full = (1 << len(self.demands)) - 1
-        self.by_src: dict[int, list[tuple[int, int]]] = {}
-        self.by_dst: dict[int, list[tuple[int, int]]] = {}
-        into = [0] * g.n
-        out_of = [0] * g.n
+        n = g.n
+        into = [0] * n
+        out_of = [0] * n
         for i, (u, v) in enumerate(self.demands):
-            self.by_src.setdefault(u, []).append((i, v))
-            self.by_dst.setdefault(v, []).append((i, u))
             into[v] |= 1 << i
             out_of[u] |= 1 << i
         self.into = [mask for mask in into if mask]
         self.out_of = [mask for mask in out_of if mask]
-        self.universe = [
-            (a, b) for a in range(g.n) for b in range(g.n) if a != b
-        ]
+        # Per remote ``a``, its flights ``(b, direct bit, into[b])`` in
+        # ascending ``b``; the rows share the entries without a direct bit.
+        plain = [(b, 0, into[b]) for b in range(n)]
+        self.universe = [(a, out_of[a], plain[:a] + plain[a + 1 :]) for a in range(n)]
+        for i, (u, v) in enumerate(self.demands):
+            self.universe[u][2][v - (v > u)] = (v, 1 << i, into[v])
 
     def find_plan(self, k: int) -> list[tuple[int, int]] | None:
         self.memo: dict[tuple[int, tuple[int, ...]], int] = {}
         self.prefix: list[tuple[int, int]] = []
-        if self._dfs(0, k, 0, [0] * len(self.demands), 0):
+        if self._dfs(0, k, 0, (0,) * len(self.universe), 0):
             return list(self.prefix)
         return None
 
@@ -313,48 +317,42 @@ class _TwoHopSearch:
         return arrivals if arrivals > departures else departures
 
     def _dfs(
-        self, depth: int, k: int, satisfied: int, pending: list[int], opened: int
+        self, depth: int, k: int, satisfied: int, held: tuple[int, ...], opened: int
     ) -> bool:
         if satisfied == self.full:
             return True
         if depth + self._distance_bound(satisfied, opened) > k:
             return False
-        key = (satisfied, tuple(pending))
+        key = (satisfied, held)
         seen = self.memo.get(key)
         if seen is not None and seen <= depth:
             return False
         self.memo[key] = depth
 
-        for a, b in self.universe:
-            served = 0
-            direct = self.demand_index.get((a, b))
-            if direct is not None and not (satisfied >> direct) & 1:
-                served |= 1 << direct
-            for i, _u in self.by_dst.get(b, ()):
-                if not ((satisfied | served) >> i) & 1 and (pending[i] >> a) & 1:
-                    served |= 1 << i
-            new_satisfied = satisfied | served
-            new_opened = opened & ~served
-            new_pending: list[int] | None = None
-            for i, v in self.by_src.get(a, ()):
-                if v != b and not (new_satisfied >> i) & 1 and not (pending[i] >> b) & 1:
-                    if new_pending is None:
-                        new_pending = list(pending)
-                    new_pending[i] |= 1 << b
-                    new_opened |= 1 << i
-            if not served and new_pending is None:
-                continue  # neither serves nor opens a relay: dead weight
-            if new_pending is None:
-                new_pending = list(pending)
-            while served:
-                low = served & -served
-                new_pending[low.bit_length() - 1] = 0
-                served &= served - 1
-            self.effort.spend()
-            self.prefix.append((a, b))
-            if self._dfs(depth + 1, k, new_satisfied, new_pending, new_opened):
-                return True
-            self.prefix.pop()
+        unserved = self.full & ~satisfied
+        for a, out_of_a, flights in self.universe:
+            held_a = held[a]
+            out = out_of_a & unserved
+            if not (held_a or out):
+                continue  # no flight out of ``a`` serves or opens a demand
+            for b, direct, into_b in flights:
+                served = (direct | held_a & into_b) & unserved
+                opens = out & ~served & ~held[b]
+                if not (served or opens):
+                    continue  # neither serves nor opens a relay: dead weight
+                if served:
+                    kept = ~served
+                    child = [mask & kept for mask in held]
+                else:
+                    child = list(held)
+                child[b] |= opens
+                self.effort.spend()
+                self.prefix.append((a, b))
+                if self._dfs(
+                    depth + 1, k, satisfied | served, tuple(child), opened & ~served | opens
+                ):
+                    return True
+                self.prefix.pop()
         return False
 
 

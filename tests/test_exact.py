@@ -723,23 +723,66 @@ def rescanned_distance_bound(demands, satisfied: int, pending: list[int]) -> int
     return max(arrivals.bit_count(), departures.bit_count())
 
 
-def test_twohop_distance_bound_equals_the_demand_rescan(monkeypatch):
-    # At every node of the deepening, ``opened`` must be the demands a
-    # relay holds and the per-node bound must equal the rescan.  Each
-    # search stops after 2,000 expansions.
-    nodes = {"all": 0, "opened": 0}
+def relays_per_demand(demands, held: tuple[int, ...]) -> list[int]:
+    """The 2-hop search's ``held`` (per relay, a demand mask) transposed:
+    per demand, the mask of the relays holding its data."""
+    return [
+        sum(1 << w for w, mask in enumerate(held) if (mask >> i) & 1)
+        for i in range(len(demands))
+    ]
 
-    class CheckedSearch(exact._TwoHopSearch):
-        def _dfs(self, depth, k, satisfied, pending, opened):
-            assert opened == sum(1 << i for i, relays in enumerate(pending) if relays)
-            assert self._distance_bound(satisfied, opened) == rescanned_distance_bound(
-                self.demands, satisfied, pending
-            )
-            nodes["all"] += 1
-            nodes["opened"] += opened != 0
-            return super()._dfs(depth, k, satisfied, pending, opened)
 
-    monkeypatch.setattr(exact, "_TwoHopSearch", CheckedSearch)
+def demands_per_relay(n: int, pending: list[int]) -> tuple[int, ...]:
+    """``relays_per_demand`` inverted: per relay, the demands it holds."""
+    return tuple(
+        sum(1 << i for i, relays in enumerate(pending) if (relays >> w) & 1)
+        for w in range(n)
+    )
+
+
+def oracle_twohop_children(n, demands, satisfied, pending, opened) -> list[tuple]:
+    """The children of a node of the 2-hop search, by per-demand serve and
+    open loops over a state kept per demand: in ascending ``(a, b)``, each
+    flight that serves or opens a demand with the child's ``satisfied``,
+    per-demand relay masks and ``opened``."""
+    demand_index = {d: i for i, d in enumerate(demands)}
+    by_src: dict[int, list[tuple[int, int]]] = {}
+    by_dst: dict[int, list[tuple[int, int]]] = {}
+    for i, (u, v) in enumerate(demands):
+        by_src.setdefault(u, []).append((i, v))
+        by_dst.setdefault(v, []).append((i, u))
+    children = []
+    for a, b in product(range(n), repeat=2):
+        if a == b:
+            continue
+        served = 0
+        direct = demand_index.get((a, b))
+        if direct is not None and not (satisfied >> direct) & 1:
+            served |= 1 << direct
+        for i, _u in by_dst.get(b, ()):
+            if not ((satisfied | served) >> i) & 1 and (pending[i] >> a) & 1:
+                served |= 1 << i
+        new_satisfied = satisfied | served
+        new_opened = opened & ~served
+        new_pending = list(pending)
+        for i, v in by_src.get(a, ()):
+            if v != b and not (new_satisfied >> i) & 1 and not (pending[i] >> b) & 1:
+                new_pending[i] |= 1 << b
+                new_opened |= 1 << i
+        if not served and new_pending == pending:
+            continue
+        for i in range(len(demands)):
+            if (served >> i) & 1:
+                new_pending[i] = 0
+        children.append(((a, b), new_satisfied, new_pending, new_opened))
+    return children
+
+
+def run_twohop_searches(monkeypatch, search_class) -> None:
+    """Deepen from the bound to the bound + 2 with ``search_class`` on
+    every part of 200 seeded random graphs of 3-7 nodes, each search
+    stopping after 2,000 expansions."""
+    monkeypatch.setattr(exact, "_TwoHopSearch", search_class)
     rng = random.Random(1)
     for _ in range(200):
         g = random_demand_graph(rng, rng.randint(3, 7), rng.choice([0.2, 0.3, 0.4, 0.5]))
@@ -749,8 +792,91 @@ def test_twohop_distance_bound_equals_the_demand_rescan(monkeypatch):
                 exact._search_twohop(part, bound, bound + 2, effort)
             except _BudgetExhausted:
                 pass
+
+
+def test_twohop_distance_bound_equals_the_demand_rescan(monkeypatch):
+    # At every node of the deepening, ``opened`` must be the demands a
+    # relay holds and the per-node bound must equal the rescan.
+    nodes = {"all": 0, "opened": 0}
+
+    class CheckedSearch(exact._TwoHopSearch):
+        def _dfs(self, depth, k, satisfied, held, opened):
+            pending = relays_per_demand(self.demands, held)
+            assert opened == sum(1 << i for i, relays in enumerate(pending) if relays)
+            assert self._distance_bound(satisfied, opened) == rescanned_distance_bound(
+                self.demands, satisfied, pending
+            )
+            nodes["all"] += 1
+            nodes["opened"] += opened != 0
+            return super()._dfs(depth, k, satisfied, held, opened)
+
+    run_twohop_searches(monkeypatch, CheckedSearch)
     assert nodes["all"] > 100_000
     assert nodes["opened"] > nodes["all"] // 2
+
+
+def test_twohop_children_equal_the_per_demand_oracle(monkeypatch):
+    # At every node the search expands, its children, in order, must be
+    # the flights the per-demand loops find, with the same state.  A node
+    # cut short by success or the budget must have a prefix of them.
+    checked = {"nodes": 0, "children": 0}
+    stack: list[list[tuple]] = []
+
+    class TracedSearch(exact._TwoHopSearch):
+        def _dfs(self, depth, k, satisfied, held, opened):
+            if stack:
+                stack[-1].append((self.prefix[-1], satisfied, held, opened))
+            seen = self.memo.get((satisfied, held))
+            expanded = (
+                satisfied != self.full
+                and depth + self._distance_bound(satisfied, opened) <= k
+                and (seen is None or seen > depth)
+            )
+            children: list[tuple] = []
+            stack.append(children)
+            try:
+                found = super()._dfs(depth, k, satisfied, held, opened)
+            except _BudgetExhausted:
+                found = None
+            stack.pop()
+            expected = []
+            if expanded:
+                pending = relays_per_demand(self.demands, held)
+                n = len(held)
+                expected = [
+                    (flight, sat, demands_per_relay(n, relays), opn)
+                    for flight, sat, relays, opn in oracle_twohop_children(
+                        n, self.demands, satisfied, pending, opened
+                    )
+                ]
+            assert children == expected[: len(children)]
+            if found is False:
+                assert len(children) == len(expected)
+            checked["nodes"] += expanded
+            checked["children"] += len(children)
+            if found is None:
+                raise _BudgetExhausted
+            return found
+
+    run_twohop_searches(monkeypatch, TracedSearch)
+    assert checked["nodes"] > 5_000
+    assert checked["children"] > 100_000
+
+
+@pytest.mark.slow
+def test_twohop_search_holds_its_deadline_at_scale():
+    # ``test_deadline_holds_past_the_default_limits`` never reaches the
+    # 2-hop search at 2,000 nodes: its relay climb uses up the time.  Run
+    # alone, the search's set-up and each of its steps must end within
+    # half a second of the deadline.
+    g = vertex_cover_reduction(2000)
+    limits = SearchLimits(max_nodes=2000, max_demands=len(g.demands), time_budget=2)
+    ((_, part, bound),) = _checked_parts(g, limits)
+    cap = plan_coordinator(part).count - 1
+    start = time.monotonic()
+    with pytest.raises(_BudgetExhausted):
+        exact._search_twohop(part, bound, cap, _Effort(limits))
+    assert time.monotonic() - start < 2.5
 
 
 def test_demo_is_decided_by_the_bound_in_both_solvers(monkeypatch, demo):

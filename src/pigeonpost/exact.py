@@ -18,10 +18,10 @@ this is proven and the rest is checked:
   the one flight kept serves ``(u, v)`` directly.  Every other flight
   stays, so the plan serves every demand with no more flights.
 * Under 2-hop, nodes of another component are never needed.  This is
-  not proven: ``tests/test_exact.py`` checks it in both regimes against
-  oracles that search any flights between any nodes, on every pair of
-  weakly connected 2- and 3-node demand classes, alone and with an extra
-  node without demands.
+  not proven (see the 2-hop identity below): ``tests/test_exact.py``
+  checks it in both regimes against oracles that search any flights
+  between any nodes, on every pair of weakly connected 2- and 3-node
+  demand classes, alone and with an extra node without demands.
 * Under multihop, neither kind of node is ever needed: the bound below
   counts the flights of any plan, through any nodes.
 
@@ -67,20 +67,46 @@ int with the satisfied set laid out by node pair, so a move costs one
 shift and a few masks, and the bound is updated from the parent's in
 O(1) instead of being recomputed over the unserved demands.
 
-2-hop: no walk normal form exists, so the solver iteratively deepens
+2-hop: a *relay assignment* ``R`` serves each demand ``(u, v)`` by the
+arc ``u -> v`` or through a relay ``w``, by its pickup ``u -> w`` and its
+delivery ``w -> v``.  ``arcs(R)`` is the set of arcs it uses, and
+``P(R)`` is the digraph on ``arcs(R)`` with a link from pickup to
+delivery per relayed demand.  The 2-hop optimum is
+``min_R |arcs(R)| + tau(P(R))``:
+
+* Above: for any DFVS ``F`` of ``P(R)``, the flights ``F``, the other
+  arcs of ``R`` in a topological order of ``P(R) - F``, then ``F`` again
+  serve every demand in ``|arcs(R)| + |F|`` flights
+  (``planners._RelayAssignment.flights``).  A pickup in ``F`` flies
+  before every arc outside the first block, a delivery in ``F`` after
+  every arc outside the last, and between other arcs the order is
+  topological.
+* Below: take any plan, and let ``R`` serve each demand the way the plan
+  does, by a direct flight or by a relay whose pickup flies before its
+  delivery.  Every arc of ``R`` is flown.  A link of ``P(R)`` between two
+  arcs that each fly once goes from an earlier slot to a later one, so
+  the arcs of ``R`` flown twice or more form a DFVS of ``P(R)``.  The
+  plan has a flight per arc of ``R`` and one more per arc flown twice or
+  more, so at least ``|arcs(R)| + tau(P(R))`` flights.
+
+``R`` may relay through any node, so the identity holds for the whole
+graph as for a part.  It leaves component additivity unproven: one arc
+between two components can be a pickup for one and a delivery for the
+other, so ``P(R)`` need not split by component.
+
+The solver does not search relay assignments: it iteratively deepens
 over ordered flight sequences, pruning flights that make no progress and
-memoizing on the logical state (satisfied demands plus, per relay node,
-the set of unserved demands whose data it holds).  A prefix is cut when
-its length plus a distance bound is over the flight count tried: the
-larger of the number of nodes that are the destination of an unserved
-demand and the number that are the source of an unserved demand no
-relay holds.  It is admissible: each such destination still needs a
-flight into it, each such source a flight out of it, and a flight
-arrives at one node and leaves one.  With a demand mask per node and
-the set of demands a relay holds carried down the search, it costs one
-mask test per node, not a pass over the demands.  Likewise a flight
-``a -> b`` finds the demands it serves and opens from the masks of
-``a`` and ``b`` alone, with no pass over the demands.
+memoizing on the state, the satisfied demands plus, per relay node, the
+unserved demands whose data it holds.  A prefix is cut when its length
+plus a distance bound is over the flight count tried: the larger of the
+number of nodes that are the destination of an unserved demand and the
+number that are the source of an unserved demand no relay holds.  It is
+admissible: each such destination still needs a flight into it, each
+such source a flight out of it, and a flight arrives at one node and
+leaves one.  With a demand mask per node it costs one mask test per node
+plus a pass over the relays, not a pass over the demands.  Likewise a
+flight ``a -> b`` finds the demands it serves and opens from the masks of
+``a`` and ``b`` alone.
 
 Both solvers follow the policy of ``planners._search_below_coordinator``:
 per part, the incumbent is the coordinator plan or, when that is above
@@ -259,17 +285,17 @@ def optimal_multihop(g: DemandGraph, limits: SearchLimits = SearchLimits()) -> P
 class _TwoHopSearch:
     """Depth-first search for a feasible 2-hop plan of exactly ``k`` flights.
 
-    Demand ``i`` is bit ``i`` of a demand mask.  A node of the search
-    carries ``satisfied``, ``held`` (per node ``w``, the unserved demands
-    whose data sits at relay ``w``) and ``opened`` (the union of
-    ``held``), and is memoized on ``(satisfied, held)``.  ``into`` and
-    ``out_of`` hold the demands into and out of each node, so a flight
-    ``a -> b`` serves ``(direct | held[a] & into[b]) & unserved``, opens
-    the unserved ``out_of[a]`` demands that are neither served nor held
-    at ``b``, and costs a few mask operations plus, per child, one copy
-    of ``held``.  ``_distance_bound`` (the flights still needed into the
+    Demand ``i`` is bit ``i`` of a demand mask.  A node of the search is
+    its memo key ``(satisfied, held)``: ``held[w]`` is the unserved
+    demands whose data sits at relay ``w``.  ``into`` and ``out_of`` hold
+    the demands into and out of each node, so a flight ``a -> b`` serves
+    ``(direct | held[a] & into[b]) & unserved``, opens the unserved
+    ``out_of[a]`` demands that are neither served nor held at ``b``, and
+    costs a few mask operations plus, per child, one copy of ``held``.
+    ``_dfs`` cuts a node when the flights still needed into the
     destinations of the unserved demands, or out of the sources of the
-    unserved and unopened ones) costs one mask test per node.
+    unserved demands no relay holds, are more than the flights left: one
+    mask test per node, after a pass over ``held`` for the second count.
     """
 
     def __init__(self, g: DemandGraph, effort: _Effort):
@@ -294,34 +320,32 @@ class _TwoHopSearch:
     def find_plan(self, k: int) -> list[tuple[int, int]] | None:
         self.memo: dict[tuple[int, tuple[int, ...]], int] = {}
         self.prefix: list[tuple[int, int]] = []
-        if self._dfs(0, k, 0, (0,) * len(self.universe), 0):
+        if self._dfs(0, k, 0, (0,) * len(self.universe)):
             return list(self.prefix)
         return None
 
-    def _distance_bound(self, satisfied: int, opened: int) -> int:
-        """A lower bound on the flights still needed: every unserved
-        demand's destination needs a flight into it, every unserved demand
-        whose data no relay holds needs a flight out of its source, and
-        one flight arrives at one node and leaves one.  One mask test per
-        node with demands."""
+    def _dfs(self, depth: int, k: int, satisfied: int, held: tuple[int, ...]) -> bool:
+        if satisfied == self.full:
+            return True
+        # Each destination of an unserved demand needs a flight into it,
+        # each source of an unserved demand no relay holds a flight out of
+        # it, and one flight arrives at one node and leaves one.
+        left = k - depth
         unserved = self.full & ~satisfied
-        unopened = unserved & ~opened
         arrivals = 0
         for mask in self.into:
             if mask & unserved:
                 arrivals += 1
+        if arrivals > left:
+            return False
+        unheld = unserved
+        for mask in held:
+            unheld &= ~mask
         departures = 0
         for mask in self.out_of:
-            if mask & unopened:
+            if mask & unheld:
                 departures += 1
-        return arrivals if arrivals > departures else departures
-
-    def _dfs(
-        self, depth: int, k: int, satisfied: int, held: tuple[int, ...], opened: int
-    ) -> bool:
-        if satisfied == self.full:
-            return True
-        if depth + self._distance_bound(satisfied, opened) > k:
+        if departures > left:
             return False
         key = (satisfied, held)
         seen = self.memo.get(key)
@@ -329,7 +353,6 @@ class _TwoHopSearch:
             return False
         self.memo[key] = depth
 
-        unserved = self.full & ~satisfied
         for a, out_of_a, flights in self.universe:
             held_a = held[a]
             out = out_of_a & unserved
@@ -348,9 +371,7 @@ class _TwoHopSearch:
                 child[b] |= opens
                 self.effort.spend()
                 self.prefix.append((a, b))
-                if self._dfs(
-                    depth + 1, k, satisfied | served, tuple(child), opened & ~served | opens
-                ):
+                if self._dfs(depth + 1, k, satisfied | served, tuple(child)):
                     return True
                 self.prefix.pop()
         return False

@@ -312,7 +312,8 @@ def solve_binary_model(model: BinaryModel, limits: SearchLimits = SearchLimits()
 
     import numpy as np
     from scipy import sparse
-    from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.optimize import Bounds, milp
+    from scipy.optimize import LinearConstraint as ScipyConstraint  # scipy's, not this module's
 
     nvars = len(model.variables)
     cost = np.zeros(nvars)
@@ -343,7 +344,7 @@ def solve_binary_model(model: BinaryModel, limits: SearchLimits = SearchLimits()
     constraints = None
     if nrows:
         matrix = sparse.csr_matrix((data, (rows, cols)), shape=(nrows, nvars))
-        constraints = LinearConstraint(matrix, np.array(lower), np.array(upper))
+        constraints = ScipyConstraint(matrix, np.array(lower), np.array(upper))
     options = {
         "node_limit": min(limits.expansion_budget, 2**31 - 1),
         "time_limit": limits.time_budget,

@@ -2,12 +2,13 @@ import heapq
 import math
 import random
 import time
+from collections import Counter
 from functools import cache
-from graphlib import TopologicalSorter
-from itertools import combinations_with_replacement, permutations, product
+from graphlib import CycleError, TopologicalSorter
+from itertools import combinations, combinations_with_replacement, permutations, product
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from pigeonpost import (
@@ -288,6 +289,79 @@ def test_twohop_matches_bfs_oracle_on_every_four_node_graph():
         assert result.proven_optimal
         assert result.count == expected, g.sorted_demands()
         assert verify_twohop(g, result.plan).satisfied
+
+
+@given(flight_sequences)
+# ``P(R)`` is the cycle 01 -> 12 -> 20 -> 01, broken only by 01 flying twice.
+@example((3, [(0, 1), (1, 2), (2, 0), (0, 1)]))
+def test_once_flown_arcs_leave_the_pickup_delivery_links_acyclic(case):
+    # The 2-hop lower bound of the ``exact`` docstring, on any flights:
+    # ``R`` serves each pair the flights serve under 2-hop by its first
+    # serving path, one arc or a pickup and a delivery.  The arcs of ``R``
+    # flown once leave ``P(R)`` acyclic, so those flown twice or more are
+    # a DFVS of it.  No solver and no oracle is involved.
+    n, flights = case
+    path: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
+    earlier: set[tuple[int, int]] = set()
+    for a, b in flights:
+        path.setdefault((a, b), ((a, b),))
+        for u in range(n):
+            if (u, a) in earlier and u != b:
+                path.setdefault((u, b), ((u, a), (a, b)))
+        earlier.add((a, b))
+    flown = Counter(flights)
+    arcs = {arc for arcs_of_pair in path.values() for arc in arcs_of_pair}
+    once = {arc for arc in arcs if flown[arc] == 1}
+    links: dict[tuple[int, int], set[tuple[int, int]]] = {}
+    for arcs_of_pair in path.values():
+        if len(arcs_of_pair) == 2 and set(arcs_of_pair) <= once:
+            pickup, delivery = arcs_of_pair
+            links.setdefault(delivery, set()).add(pickup)
+    TopologicalSorter(links).prepare()  # raises CycleError on a cycle
+    assert len(flights) >= len(arcs) + len(arcs - once)
+
+
+def relay_assignment_optimum(n: int, demands) -> int:
+    """``min_R |arcs(R)| + tau(P(R))`` over every relay assignment ``R`` on
+    the nodes ``0..n-1``, with ``tau`` by subset enumeration."""
+
+    def acyclic(links, dropped) -> bool:
+        graph: dict[tuple[int, int], set[tuple[int, int]]] = {}
+        for pickup, delivery in links:
+            if pickup not in dropped and delivery not in dropped:
+                graph.setdefault(delivery, set()).add(pickup)
+        try:
+            TopologicalSorter(graph).prepare()
+        except CycleError:
+            return False
+        return True
+
+    options = [
+        [((u, v),)] + [((u, w), (w, v)) for w in range(n) if w not in (u, v)]
+        for u, v in demands
+    ]
+    best = 2 * len(demands)
+    for paths in product(*options):
+        arcs = sorted({arc for arcs_of_pair in paths for arc in arcs_of_pair})
+        links = [arcs_of_pair for arcs_of_pair in paths if len(arcs_of_pair) == 2]
+        tau = next(
+            size
+            for size in range(len(arcs) + 1)
+            if any(acyclic(links, set(dfvs)) for dfvs in combinations(arcs, size))
+        )
+        best = min(best, len(arcs) + tau)
+    return best
+
+
+def test_twohop_optimum_is_the_relay_assignment_minimum_on_every_three_node_graph():
+    # The 2-hop identity of the ``exact`` docstring against the oracle
+    # that assumes no relay form, on all 63 demand sets of 3 nodes.
+    pairs = list(permutations(range(3), 2))
+    optima = twohop_optima_by_bfs(3)
+    assert len(optima) == 63
+    for mask, expected in optima.items():
+        demands = [p for i, p in enumerate(pairs) if (mask >> i) & 1]
+        assert relay_assignment_optimum(3, demands) == expected, demands
 
 
 def twohop_incumbent(g: DemandGraph) -> FlightPlan:
@@ -740,11 +814,11 @@ def demands_per_relay(n: int, pending: list[int]) -> tuple[int, ...]:
     )
 
 
-def oracle_twohop_children(n, demands, satisfied, pending, opened) -> list[tuple]:
+def oracle_twohop_children(n, demands, satisfied, pending) -> list[tuple]:
     """The children of a node of the 2-hop search, by per-demand serve and
     open loops over a state kept per demand: in ascending ``(a, b)``, each
-    flight that serves or opens a demand with the child's ``satisfied``,
-    per-demand relay masks and ``opened``."""
+    flight that serves or opens a demand with the child's ``satisfied``
+    and per-demand relay masks."""
     demand_index = {d: i for i, d in enumerate(demands)}
     by_src: dict[int, list[tuple[int, int]]] = {}
     by_dst: dict[int, list[tuple[int, int]]] = {}
@@ -763,18 +837,16 @@ def oracle_twohop_children(n, demands, satisfied, pending, opened) -> list[tuple
             if not ((satisfied | served) >> i) & 1 and (pending[i] >> a) & 1:
                 served |= 1 << i
         new_satisfied = satisfied | served
-        new_opened = opened & ~served
         new_pending = list(pending)
         for i, v in by_src.get(a, ()):
             if v != b and not (new_satisfied >> i) & 1 and not (pending[i] >> b) & 1:
                 new_pending[i] |= 1 << b
-                new_opened |= 1 << i
         if not served and new_pending == pending:
             continue
         for i in range(len(demands)):
             if (served >> i) & 1:
                 new_pending[i] = 0
-        children.append(((a, b), new_satisfied, new_pending, new_opened))
+        children.append(((a, b), new_satisfied, new_pending))
     return children
 
 
@@ -794,25 +866,40 @@ def run_twohop_searches(monkeypatch, search_class) -> None:
                 pass
 
 
+def expands(search, depth: int, k: int, satisfied: int, held: tuple[int, ...]) -> bool:
+    """Whether ``search._dfs`` should expand this node, by the rescanned
+    bound and the memo as it stands before the call."""
+    seen = search.memo.get((satisfied, held))
+    pending = relays_per_demand(search.demands, held)
+    return (
+        satisfied != search.full
+        and depth + rescanned_distance_bound(search.demands, satisfied, pending) <= k
+        and (seen is None or seen > depth)
+    )
+
+
 def test_twohop_distance_bound_equals_the_demand_rescan(monkeypatch):
-    # At every node of the deepening, ``opened`` must be the demands a
-    # relay holds and the per-node bound must equal the rescan.
-    nodes = {"all": 0, "opened": 0}
+    # At every node of the deepening, ``_dfs`` must put the node in the
+    # memo exactly when the rescanned bound and the memo let it through:
+    # a node the bound cuts leaves the memo as it found it.
+    nodes = {"all": 0, "held": 0}
 
     class CheckedSearch(exact._TwoHopSearch):
-        def _dfs(self, depth, k, satisfied, held, opened):
-            pending = relays_per_demand(self.demands, held)
-            assert opened == sum(1 << i for i, relays in enumerate(pending) if relays)
-            assert self._distance_bound(satisfied, opened) == rescanned_distance_bound(
-                self.demands, satisfied, pending
-            )
+        def _dfs(self, depth, k, satisfied, held):
+            key = (satisfied, held)
+            seen = self.memo.get(key)
+            stored = expands(self, depth, k, satisfied, held)
             nodes["all"] += 1
-            nodes["opened"] += opened != 0
-            return super()._dfs(depth, k, satisfied, held, opened)
+            nodes["held"] += any(held)
+            try:
+                return super()._dfs(depth, k, satisfied, held)
+            finally:
+                # The memo entry is written before any spend can raise.
+                assert self.memo.get(key) == (depth if stored else seen)
 
     run_twohop_searches(monkeypatch, CheckedSearch)
     assert nodes["all"] > 100_000
-    assert nodes["opened"] > nodes["all"] // 2
+    assert nodes["held"] > nodes["all"] // 2
 
 
 def test_twohop_children_equal_the_per_demand_oracle(monkeypatch):
@@ -823,19 +910,14 @@ def test_twohop_children_equal_the_per_demand_oracle(monkeypatch):
     stack: list[list[tuple]] = []
 
     class TracedSearch(exact._TwoHopSearch):
-        def _dfs(self, depth, k, satisfied, held, opened):
+        def _dfs(self, depth, k, satisfied, held):
             if stack:
-                stack[-1].append((self.prefix[-1], satisfied, held, opened))
-            seen = self.memo.get((satisfied, held))
-            expanded = (
-                satisfied != self.full
-                and depth + self._distance_bound(satisfied, opened) <= k
-                and (seen is None or seen > depth)
-            )
+                stack[-1].append((self.prefix[-1], satisfied, held))
+            expanded = expands(self, depth, k, satisfied, held)
             children: list[tuple] = []
             stack.append(children)
             try:
-                found = super()._dfs(depth, k, satisfied, held, opened)
+                found = super()._dfs(depth, k, satisfied, held)
             except _BudgetExhausted:
                 found = None
             stack.pop()
@@ -844,9 +926,9 @@ def test_twohop_children_equal_the_per_demand_oracle(monkeypatch):
                 pending = relays_per_demand(self.demands, held)
                 n = len(held)
                 expected = [
-                    (flight, sat, demands_per_relay(n, relays), opn)
-                    for flight, sat, relays, opn in oracle_twohop_children(
-                        n, self.demands, satisfied, pending, opened
+                    (flight, sat, demands_per_relay(n, relays))
+                    for flight, sat, relays in oracle_twohop_children(
+                        n, self.demands, satisfied, pending
                     )
                 ]
             assert children == expected[: len(children)]

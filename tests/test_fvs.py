@@ -6,6 +6,7 @@ from itertools import combinations, permutations
 import pytest
 
 from pigeonpost import DemandGraph, FlightPlan, verify_multihop
+from pigeonpost import fvs
 from pigeonpost.fvs import cycle_packing, dfvs_walk, digraph, greedy_dfvs
 
 
@@ -127,3 +128,25 @@ def test_acyclic_digraph_spends_nothing():
     assert greedy_dfvs(succ, pred, never_spends) == 0
     assert cycle_packing(succ, pred, never_spends) == []
     assert dfvs_walk(succ, pred, 0) == [0, 1, 3, 2]
+
+
+def test_a_search_that_dies_out_stops(monkeypatch):
+    # Two 2-cycles, {k, k + 1} and {k + 2, k + 3}, and k nodes on paths
+    # ``k + 2 -> i -> k`` from the second into the first.  Each node
+    # ``i < k`` lies on no cycle, so its breadth-first search dies out
+    # after three layers, before any cycle is found; it must stop there,
+    # not run on in empty layers to the longest cycle possible.
+    k = 50
+    arcs = [(k, k + 1), (k + 1, k), (k + 2, k + 3), (k + 3, k + 2)]
+    arcs += [arc for i in range(k) for arc in ((k + 2, i), (i, k))]
+    succ, pred = digraph(k + 4, arcs)
+    calls = []
+
+    def counted(mask: int) -> list[int]:
+        calls.append(mask)
+        return nodes(mask)
+
+    nodes = fvs._nodes
+    monkeypatch.setattr(fvs, "_nodes", counted)
+    assert cycle_packing(succ, pred, lambda: None) == [3 << k, 3 << k + 2]
+    assert len(calls) < 5 * k  # 158 calls; about 2,750 without the stop

@@ -24,7 +24,7 @@ from pigeonpost import (
 )
 from pigeonpost import ilp
 from pigeonpost.exact import SearchLimits
-from pigeonpost.planners import _Effort
+from pigeonpost.planners import _BudgetExhausted, _Effort
 from pigeonpost.ilp import LinearConstraint
 from pigeonpost.instances import cycle_graph, demo_graph, star_graph
 
@@ -363,6 +363,33 @@ def test_solve_finds_a_plan_below_the_incumbent(solved, planner, g, slack):
     # The model is built at the incumbent's count, as in the test above.
     assert max(v.index[-1] for v in model.variables) + slack == 5
     assert result.count == 4 < 5 <= plan_coordinator(g).count
+
+
+def test_an_unproven_highs_plan_is_kept_unproven(monkeypatch):
+    # HiGHS stops at a limit with a plan in hand: ``_solve_below`` raises
+    # the plan out with the budget, and the policy keeps it, unproven,
+    # in place of the 5-flight incumbent.
+    def stopped_at_a_limit(model, limits):
+        return solve_binary_model(model, limits)._replace(status="feasible")
+
+    monkeypatch.setattr(ilp, "solve_binary_model", stopped_at_a_limit)
+    result = optimal_twohop_ilp(RELAY5)
+    assert (result.count, result.proven_optimal) == (4, False)
+    assert result.proof == (("budget", 4),)
+    assert verify_twohop(RELAY5, result.plan).satisfied
+
+
+@pytest.mark.parametrize("kind", ["twohop", "multihop"])
+def test_solve_below_builds_no_model_after_the_deadline(monkeypatch, kind):
+    def fail(*args):
+        raise AssertionError("no model is built after the deadline")
+
+    monkeypatch.setattr(ilp, "build_twohop_model", fail)
+    monkeypatch.setattr(ilp, "build_multihop_model", fail)
+    effort = _Effort(SearchLimits(time_budget=1e-9))
+    with pytest.raises(_BudgetExhausted) as exhausted:
+        ilp._solve_below(kind, TRIANGLE, 3, 3, effort)
+    assert exhausted.value.plan is None
 
 
 def test_twohop_count_at_the_component_bound_calls_no_solver(solved):

@@ -62,12 +62,24 @@ def _checked_pairs(n: int, pairs, error: type[ValueError], noun: str) -> list[tu
     return checked
 
 
+class _Checked:
+    """Base of the records that check their fields in ``__new__``.  Listed
+    before the ``NamedTuple`` fields, so ``_make`` and ``_replace`` run
+    the check too."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
 class _DemandGraphFields(NamedTuple):
     n: int
     demands: frozenset[tuple[int, int]]
 
 
-class DemandGraph(_DemandGraphFields):
+class DemandGraph(_Checked, _DemandGraphFields):
     """Directed demand graph on node ids ``[0, n)``, all exactly ``int``.
     The constructor, its one check, takes ``demands`` as any iterable of pairs."""
 
@@ -76,10 +88,6 @@ class DemandGraph(_DemandGraphFields):
     def __new__(cls, n: int, demands) -> DemandGraph:
         checked = _checked_pairs(n, demands, DemandGraphError, "demand")
         return tuple.__new__(cls, (n, frozenset(checked)))
-
-    @classmethod
-    def _make(cls, iterable) -> DemandGraph:
-        return cls(*iterable)
 
     @classmethod
     def from_pairs(cls, n: int, pairs) -> DemandGraph:

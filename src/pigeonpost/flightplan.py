@@ -24,7 +24,7 @@ from __future__ import annotations
 from itertools import starmap
 from typing import NamedTuple
 
-from .demand import DemandGraph, _iterate, _load_json
+from .demand import DemandGraph, _Checked, _iterate, _load_json
 from .jsonutil import canonical_dumps
 
 
@@ -37,7 +37,7 @@ class _FlightFields(NamedTuple):
     home: int
 
 
-class Flight(_FlightFields):
+class Flight(_Checked, _FlightFields):
     """One pigeon: released at ``remote``, landing at its ``home`` node.
 
     The endpoints are distinct, non-negative and exactly ``int``; the
@@ -57,16 +57,12 @@ class Flight(_FlightFields):
             raise FlightPlanError(f"flight endpoints must be non-negative: {self}")
         return self
 
-    @classmethod
-    def _make(cls, iterable) -> Flight:
-        return cls(*iterable)
-
 
 class _FlightPlanFields(NamedTuple):
     flights: tuple[Flight, ...]
 
 
-class FlightPlan(_FlightPlanFields):
+class FlightPlan(_Checked, _FlightPlanFields):
     """Ordered flight sequence; index in ``flights`` is the time slot.
     The constructor, its one check, takes any iterable of ``Flight``s or
     ``(remote, home)`` pairs and refuses anything else."""
@@ -81,10 +77,6 @@ class FlightPlan(_FlightPlanFields):
                 if not isinstance(flight, (tuple, list)) or len(flight) != 2:
                     raise FlightPlanError(f"flight entry {flight!r} is not a (remote, home) pair")
         return tuple.__new__(cls, (tuple(starmap(Flight, flights)),))
-
-    @classmethod
-    def _make(cls, iterable) -> FlightPlan:
-        return cls(*iterable)
 
     @classmethod
     def from_pairs(cls, pairs) -> FlightPlan:

@@ -56,7 +56,7 @@ from functools import partial
 from itertools import groupby, pairwise
 from typing import NamedTuple
 
-from .demand import DemandGraph, weakly_connected_components
+from .demand import DemandGraph, _Checked, weakly_connected_components
 from .flightplan import FlightPlan
 from .planners import (
     PlannerResult,
@@ -72,9 +72,13 @@ class ModelError(ValueError):
 
 
 class ModelVariable(NamedTuple):
-    name: str
     kind: str  # "x" or "y"
     index: tuple[int, ...]
+
+    @property
+    def name(self) -> str:
+        """``kind`` and ``index`` joined by underscores, as in ``x_0_1_2``."""
+        return "_".join([self.kind, *map(str, self.index)])
 
 
 class LinearConstraint(NamedTuple):
@@ -90,7 +94,7 @@ class _BinaryModelFields(NamedTuple):
     objective: tuple[tuple[int, int], ...]
 
 
-class BinaryModel(_BinaryModelFields):
+class BinaryModel(_Checked, _BinaryModelFields):
     """A 0/1 linear minimization program."""
 
     __slots__ = ()
@@ -106,10 +110,6 @@ class BinaryModel(_BinaryModelFields):
                 if not 0 <= var < len(variables):
                     raise ModelError(f"constraint {row.name} references unknown variable")
         return tuple.__new__(cls, (variables, constraints, objective))
-
-    @classmethod
-    def _make(cls, iterable) -> BinaryModel:
-        return cls(*iterable)
 
 
 def _ordered_pairs(n: int) -> list[tuple[int, int]]:
@@ -133,14 +133,14 @@ def build_twohop_model(g: DemandGraph, slots: int | None = None) -> BinaryModel:
     for i in range(1, slots + 1):
         for u, v in pairs:
             x_id[(u, v, i)] = len(variables)
-            variables.append(ModelVariable(f"x_{u}_{v}_{i}", "x", (u, v, i)))
+            variables.append(ModelVariable("x", (u, v, i)))
 
     y_id: dict[tuple[int, int, int, int], int] = {}
     for u, v in demands:
         for w in range(n):
             for i in range(1, slots + 1):
                 y_id[(u, w, v, i)] = len(variables)
-                variables.append(ModelVariable(f"y_{u}_{w}_{v}_{i}", "y", (u, w, v, i)))
+                variables.append(ModelVariable("y", (u, w, v, i)))
 
     constraints: list[LinearConstraint] = []
     for i in range(1, slots + 1):
@@ -213,14 +213,14 @@ def build_multihop_model(g: DemandGraph, slots: int | None = None) -> BinaryMode
     for i in range(1, slots + 1):
         for v in nodes:
             x_id[(v, i)] = len(variables)
-            variables.append(ModelVariable(f"x_{v}_{i}", "x", (v, i)))
+            variables.append(ModelVariable("x", (v, i)))
 
     y_id: dict[tuple[int, int, int, int], int] = {}
     for u, v in demands:
         for i in range(1, slots + 1):
             for j in range(i + 1, slots + 1):
                 y_id[(u, v, i, j)] = len(variables)
-                variables.append(ModelVariable(f"y_{u}_{v}_{i}_{j}", "y", (u, v, i, j)))
+                variables.append(ModelVariable("y", (u, v, i, j)))
 
     constraints: list[LinearConstraint] = []
     for i in range(1, slots + 1):
@@ -260,7 +260,8 @@ def build_multihop_model(g: DemandGraph, slots: int | None = None) -> BinaryMode
 
 
 class Assignment(NamedTuple):
-    """Solver outcome; ``values`` satisfies all constraints when feasible.
+    """Solver outcome; ``values`` holds one 0/1 value per variable, in
+    ``model.variables`` order, and satisfies all constraints when feasible.
 
     ``status`` is one of ``optimal`` (proven), ``feasible`` (a limit ran
     out with an incumbent), ``infeasible`` (proven empty), or ``unknown``
@@ -268,7 +269,7 @@ class Assignment(NamedTuple):
     """
 
     status: str
-    values: dict[str, int]
+    values: tuple[int, ...]
     objective: int | None
 
     @property
@@ -288,10 +289,9 @@ def _row_holds(row: LinearConstraint, total: int) -> bool:
     return total == row.constant
 
 
-def _verify_assignment(model: BinaryModel, values: dict[str, int]) -> None:
-    names = [v.name for v in model.variables]
+def _verify_assignment(model: BinaryModel, values: tuple[int, ...]) -> None:
     for row in model.constraints:
-        total = sum(coeff * values[names[var]] for coeff, var in row.terms)
+        total = sum(coeff * values[var] for coeff, var in row.terms)
         if not _row_holds(row, total):
             raise ModelError(f"solver returned values violating {row.name}")
 
@@ -307,8 +307,8 @@ def solve_binary_model(model: BinaryModel, limits: SearchLimits = SearchLimits()
     if not model.variables:
         # The empty assignment is the only point; it may still fail a row.
         if all(_row_holds(row, 0) for row in model.constraints):
-            return Assignment("optimal", {}, 0)
-        return Assignment("infeasible", {}, None)
+            return Assignment("optimal", (), 0)
+        return Assignment("infeasible", (), None)
 
     import numpy as np
     from scipy import sparse
@@ -358,16 +358,12 @@ def solve_binary_model(model: BinaryModel, limits: SearchLimits = SearchLimits()
     )
 
     if result.status == 2:
-        return Assignment("infeasible", {}, None)
+        return Assignment("infeasible", (), None)
     if result.x is None:
-        return Assignment("unknown", {}, None)
-    values = {
-        model.variables[i].name: int(round(result.x[i])) for i in range(nvars)
-    }
+        return Assignment("unknown", (), None)
+    values = tuple(int(round(x)) for x in result.x)
     _verify_assignment(model, values)
-    objective = sum(
-        coeff * values[model.variables[var].name] for coeff, var in model.objective
-    )
+    objective = sum(coeff * values[var] for coeff, var in model.objective)
     status = "optimal" if result.status == 0 else "feasible"
     return Assignment(status, values, objective)
 
@@ -388,10 +384,12 @@ def _plan_pairs(kind: str, model: BinaryModel, assignment: Assignment) -> list[t
         raise ModelError("cannot extract a plan from an infeasible assignment")
     if kind not in ("twohop", "multihop"):
         raise ModelError(f"unknown model kind {kind!r}")
+    if len(assignment.values) != len(model.variables):
+        raise ModelError(f"{len(assignment.values)} values for {len(model.variables)} variables")
 
     active: dict[int, tuple[int, ...]] = {}
-    for var in model.variables:
-        if var.kind == "x" and assignment.values.get(var.name):
+    for var, value in zip(model.variables, assignment.values):
+        if var.kind == "x" and value:
             slot = var.index[-1]
             if slot in active:
                 raise ModelError(f"two flights active in slot {slot}")

@@ -60,7 +60,13 @@ from itertools import chain, pairwise
 from math import gcd
 from typing import NamedTuple
 
-from .demand import DemandGraph, _endpoint_bound, _flight_bound, weakly_connected_components
+from .demand import (
+    DemandGraph,
+    _Checked,
+    _endpoint_bound,
+    _flight_bound,
+    weakly_connected_components,
+)
 from .flightplan import FlightPlan
 from .jsonutil import canonical_dumps
 
@@ -78,7 +84,7 @@ class _SearchLimitsFields(NamedTuple):
     time_budget: float
 
 
-class SearchLimits(_SearchLimitsFields):
+class SearchLimits(_Checked, _SearchLimitsFields):
     """Structural and effort caps for the exact and ILP solvers.
 
     ``max_nodes`` and ``max_demands`` bound each part, that is each weakly
@@ -105,10 +111,6 @@ class SearchLimits(_SearchLimitsFields):
         if not (max_nodes > 0 and max_demands > 0 and expansion_budget > 0 and time_budget > 0):
             raise ValueError("search limits must be positive")
         return tuple.__new__(cls, (max_nodes, max_demands, expansion_budget, time_budget))
-
-    @classmethod
-    def _make(cls, iterable) -> SearchLimits:
-        return cls(*iterable)
 
     def check_size(self, nodes: int, demands: int, scope: str) -> None:
         """Raise ``SearchLimitError`` when ``scope`` (a graph or one

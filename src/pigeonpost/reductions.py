@@ -7,8 +7,11 @@ Two constructions map classic NP-hard problems onto pigeon planning:
   node, and gadget arms that force a direct pigeon onto every
   clause-to-literal and literal-swap edge.  Gadget arm ``i`` of a forced
   edge ``(a, b)`` consists of nodes ``u[e,i,1..3]`` with demands
-  ``(u1,u2), (u1,u3), (u2,u3), (u2,a), (u3,a), (u3,b)``.  The budget is
-  ``k = 12n^2 + 18nm + 27n + 39m`` for n variables and m clauses.
+  ``(u1,u2), (u1,u3), (u2,u3), (u2,a), (u3,a), (u3,b)``.  The budget
+  ``k`` is the flight count of the witness schedule: three chain hops
+  per gadget arm and one direct flight per forced edge, plus one star
+  flight per variable.  With n variables, m clauses and distinct
+  literals in every clause it is ``12n^2 + 18nm + 27n + 39m``.
   Instances are deliberately too large to solve exactly; validation is
   structural, plus an executable schedule built from a satisfying
   assignment that must pass the 2-hop verifier.
@@ -36,6 +39,7 @@ from .demand import (
     MAX_PARSED_NODES,
     DemandGraph,
     DemandGraphSizeError,
+    _Checked,
     _checked_pairs,
     _iterate,
     _read_pair_document,
@@ -58,7 +62,7 @@ class _CnfFormulaFields(NamedTuple):
     clauses: tuple[tuple[int, int, int], ...]
 
 
-class CnfFormula(_CnfFormulaFields):
+class CnfFormula(_Checked, _CnfFormulaFields):
     """3-CNF formula; literals are signed 1-based variable indices, all ``int``.
     ``clauses`` may be any iterable of three-item tuples or lists."""
 
@@ -78,10 +82,6 @@ class CnfFormula(_CnfFormulaFields):
                 if lit == 0 or abs(lit) > num_vars:
                     raise CnfError(f"literal {lit} out of range")
         return tuple.__new__(cls, (num_vars, tuple(map(tuple, clauses))))
-
-    @classmethod
-    def _make(cls, iterable) -> CnfFormula:
-        return cls(*iterable)
 
     def evaluate(self, assignment) -> bool:
         return all(
@@ -140,7 +140,7 @@ class _UndirectedGraphFields(NamedTuple):
     edges: frozenset[tuple[int, int]]
 
 
-class UndirectedGraph(_UndirectedGraphFields):
+class UndirectedGraph(_Checked, _UndirectedGraphFields):
     """Simple undirected graph; edges stored as (min, max) pairs.  The
     constructor, its one check, runs ``demand._checked_pairs`` and normalises."""
 
@@ -149,10 +149,6 @@ class UndirectedGraph(_UndirectedGraphFields):
     def __new__(cls, n: int, edges) -> UndirectedGraph:
         checked = _checked_pairs(n, edges, ReductionError, "edge")
         return tuple.__new__(cls, (n, frozenset((u, v) if u < v else (v, u) for u, v in checked)))
-
-    @classmethod
-    def _make(cls, iterable) -> UndirectedGraph:
-        return cls(*iterable)
 
     @classmethod
     def from_pairs(cls, n: int, pairs) -> UndirectedGraph:
@@ -222,8 +218,9 @@ def reduce_3sat_to_twohop(formula: CnfFormula) -> ReductionOutput:
     Forced edges (clause to each of its literals, then both directions
     between complementary literals) each receive ``2n + 4`` gadget arms.
     Duplicate literals inside a clause collapse to one forced edge, so
-    the forced-edge list can be shorter than ``2n + 3m``; the emitted
-    budget always uses the closed form.  Forced edges of different
+    the forced-edge list can be shorter than ``2n + 3m``.  The budget is
+    the flight count of ``satisfying_assignment_plan``,
+    ``(3 * arms + 1) * len(forced_edges) + n``.  Forced edges of different
     clauses or variables never coincide.  A graph of more than
     ``MAX_PARSED_NODES`` nodes is refused with ``DemandGraphSizeError``
     once the clause edges are listed, before anything per variable is
@@ -283,12 +280,11 @@ def reduce_3sat_to_twohop(formula: CnfFormula) -> ReductionOutput:
                     }
                 )
 
-    budget = 12 * n * n + 18 * n * m + 27 * n + 39 * m
     # The roles were appended in node order.
     return ReductionOutput(
         kind="3sat-to-twohop",
         graph=DemandGraph(total_nodes, demands),
-        budget=budget,
+        budget=(3 * arms + 1) * len(forced) + n,
         roles=tuple(roles),
         forced_edges=tuple(forced),
         meta=(
@@ -306,12 +302,12 @@ def satisfying_assignment_plan(
     """Schedule certifying a satisfying assignment, ready for verification.
 
     Pigeon placement: one per gadget-arm chain hop (arm head to middle,
-    middle to tail, tail to the forced edge's source), one per
-    clause-literal occurrence, one per literal-swap direction, and one
-    from each true literal (or its negation when false) to the star.
-    The gadget chains fly first, then clause flights, then literal
-    swaps, then the star flights, so every relay pickup precedes its
-    delivery.
+    middle to tail, tail to the forced edge's source), one per forced
+    edge, and one from each true literal (or its negation when false) to
+    the star, ``reduction.budget`` flights in all.  The gadget chains fly
+    first, then the forced edges in their order (clause edges, then
+    literal swaps), then the star flights, so every relay pickup
+    precedes its delivery.
     """
     if reduction.kind != "3sat-to-twohop":
         raise ReductionError("witness plans exist only for the 3-CNF reduction")
@@ -330,13 +326,7 @@ def satisfying_assignment_plan(
             for arm in range(1, arms + 1):
                 chain = (*_arm_nodes(base, arms, edge_idx, arm), a)
                 flights.append((chain[hop], chain[hop + 1]))
-    for clause_idx, clause in enumerate(formula.clauses):
-        for literal in clause:
-            flights.append((clause_idx, _literal_node(m, n, literal)))
-    for var in range(1, n + 1):
-        positive = _literal_node(m, n, var)
-        negative = _literal_node(m, n, -var)
-        flights += [(positive, negative), (negative, positive)]
+    flights += reduction.forced_edges
     for var in range(1, n + 1):
         chosen = var if assignment[var - 1] else -var
         flights.append((_literal_node(m, n, chosen), star))
@@ -381,11 +371,12 @@ def sat_bruteforce(formula: CnfFormula, max_vars: int = 20) -> SatResult:
 
 
 def min_vertex_cover_bruteforce(g: UndirectedGraph, max_nodes: int = 16) -> int:
-    """Minimum cover size over all node subsets."""
+    """Minimum cover size over all node subsets.  The node set covers
+    every edge, so only the smaller subsets are searched."""
     if g.n > max_nodes:
         raise ValueError(f"{g.n} nodes exceed limit {max_nodes}")
     edges = sorted(g.edges)
-    for k in range(g.n + 1):
+    for k in range(g.n):
         for subset in combinations(range(g.n), k):
             chosen = set(subset)
             if all(u in chosen or v in chosen for u, v in edges):

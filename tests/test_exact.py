@@ -987,6 +987,10 @@ def test_certify_tight_bound():
 def test_certify_demo_is_tight(demo):
     cert = certify(demo, optimal_multihop(demo))
     assert cert_fields(cert) == (5, 5, ("flight_bound",), True, True)
+    assert cert.to_json() == (
+        '{\n  "basis": [\n    "flight_bound"\n  ],\n  "count": 5,\n  "lower_bound": 5,\n'
+        '  "mode": "multihop",\n  "tight": true,\n  "valid": true\n}\n'
+    )
 
 
 @pytest.mark.parametrize("planner", [optimal_twohop, optimal_multihop], ids=["twohop", "multihop"])

@@ -1,10 +1,12 @@
 import operator
 import random
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from pigeonpost import (
+    Assignment,
     BinaryModel,
     DemandGraph,
     FlightPlan,
@@ -25,7 +27,7 @@ from pigeonpost import (
 from pigeonpost import ilp
 from pigeonpost.exact import SearchLimits
 from pigeonpost.planners import _BudgetExhausted, _Effort
-from pigeonpost.ilp import LinearConstraint
+from pigeonpost.ilp import LinearConstraint, ModelVariable
 from pigeonpost.instances import cycle_graph, demo_graph, star_graph
 
 from conftest import TRIANGLE, random_connected_demand_graph, random_demand_graph
@@ -132,6 +134,53 @@ def test_empty_model_failing_a_row_is_infeasible():
     assert not result.feasible
 
 
+def test_highs_point_breaking_a_row_is_refused(monkeypatch):
+    # The rows are checked on the point HiGHS returns, not taken on trust.
+    np = pytest.importorskip("numpy")
+    scipy_optimize = pytest.importorskip("scipy.optimize")
+
+    def breaking_point(**kwargs):
+        return SimpleNamespace(status=0, x=np.zeros(1))
+
+    monkeypatch.setattr(scipy_optimize, "milp", breaking_point)
+    model = BinaryModel([ModelVariable("x", (0,))], [LinearConstraint("c", ((1, 0),), ">=", 1)], ())
+    with pytest.raises(ModelError, match="violating c"):
+        solve_binary_model(model)
+
+
+def test_row_naming_an_unknown_variable_is_refused():
+    with pytest.raises(ModelError, match="constraint c references unknown variable"):
+        BinaryModel([ModelVariable("x", (0,))], [LinearConstraint("c", ((1, 1),), "<=", 1)], ())
+
+
+def test_variable_name_is_its_kind_and_index():
+    assert ModelVariable._fields == ("kind", "index")
+    assert ModelVariable("y", (0, 2, 1, 3)).name == "y_0_2_1_3"
+
+
+PATH3_ONE_SLOT = build_twohop_model(PATH3, 1)  # 6 flight and 6 relay variables
+X01, X12 = ModelVariable("x", (0, 1, 1)), ModelVariable("x", (1, 2, 1))
+
+
+def _values(*active: ModelVariable) -> tuple[int, ...]:
+    return tuple(int(var in active) for var in PATH3_ONE_SLOT.variables)
+
+
+@pytest.mark.parametrize(
+    "kind, assignment, message",
+    [
+        ("twohop", Assignment("infeasible", (), None), "infeasible assignment"),
+        ("singlehop", Assignment("optimal", _values(X01), 1), "unknown model kind"),
+        ("twohop", Assignment("optimal", _values(X01, X12), 2), "two flights active in slot 1"),
+        ("twohop", Assignment("optimal", (1,), 1), "1 values for 12 variables"),
+    ],
+    ids=["infeasible", "unknown-kind", "two-flights-in-a-slot", "values-short"],
+)
+def test_extract_plan_refuses(kind, assignment, message):
+    with pytest.raises(ModelError, match=message):
+        extract_plan(kind, PATH3_ONE_SLOT, assignment)
+
+
 def test_export_lp_empty_model():
     assert export_lp(BinaryModel([], [], ())) == "Minimize\n obj:\nSubject To\nBinary\nEnd\n"
 
@@ -235,15 +284,13 @@ def test_a_passed_deadline_skips_highs(monkeypatch, limits, calls, proven, basis
     assert verify_twohop(TWO_TRIANGLES, result.plan).satisfied
 
 
-def _violated_rows(model: BinaryModel, values: dict[str, int]) -> list[str]:
-    names = [v.name for v in model.variables]
+def _violated_rows(model: BinaryModel, values: tuple[int, ...]) -> list[str]:
     holds = {"<=": operator.le, ">=": operator.ge, "=": operator.eq}
     return [
         row.name
         for row in model.constraints
         if not holds[row.relation](
-            sum(coeff * values.get(names[var], 0) for coeff, var in row.terms),
-            row.constant,
+            sum(coeff * values[var] for coeff, var in row.terms), row.constant
         )
     ]
 
@@ -301,8 +348,11 @@ def test_tightened_solve_keeps_optimum_and_paper_rows(solved, planner, exact, bu
         assert assignment.proven_optimal, label
         assert result.count < incumbent, label
         paper = build(g)
-        assert set(assignment.values) <= {v.name for v in paper.variables}, label
-        assert _violated_rows(paper, assignment.values) == [], label
+        assert set(model.variables) <= set(paper.variables), label
+        # The solution on the paper model: the variables of its later slots are 0.
+        solution = dict(zip(model.variables, assignment.values))
+        values = tuple(solution.get(var, 0) for var in paper.variables)
+        assert _violated_rows(paper, values) == [], label
         paths.add("solved")
     assert paths == {"bound", "infeasible", "solved"}
 

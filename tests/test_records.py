@@ -4,19 +4,24 @@ Every way to build a ``DemandGraph``, ``UndirectedGraph``, ``Flight`` or
 ``FlightPlan`` (the constructor, ``from_pairs``, ``_replace`` and the JSON
 parser) must either raise the module's error or return the same record,
 with the same canonical bytes.  The other validating records refuse bools
-and floats where they take counts, and malformed containers.
+and floats where they take counts, and malformed containers.  All seven
+checked records share one ``_make``, so ``_make`` and ``_replace`` run
+the check, and copies and pickles come back equal.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import math
+import pickle
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pigeonpost import (
+    BinaryModel,
     CnfError,
     CnfFormula,
     DemandGraph,
@@ -24,6 +29,7 @@ from pigeonpost import (
     Flight,
     FlightPlan,
     FlightPlanError,
+    ModelError,
     ReductionError,
     SearchLimits,
     UndirectedGraph,
@@ -33,6 +39,7 @@ from pigeonpost import (
     parse_undirected_graph,
     verify_twohop,
 )
+from pigeonpost.ilp import LinearConstraint, ModelVariable
 
 scalar = st.one_of(st.integers(-1, 9), st.booleans(), st.floats(), st.text(max_size=2))
 item = st.one_of(
@@ -239,3 +246,32 @@ def test_undirected_graph_normalises_its_edges():
     g = UndirectedGraph(3, {(2, 1), (1, 2), (0, 2)})
     assert g.edges == {(1, 2), (0, 2)}
     assert g == UndirectedGraph.from_pairs(3, [[1, 2], [2, 0]])
+
+
+CHECKED_RECORDS = [
+    (DemandGraph(3, [(0, 1), (2, 1)]), {"n": 2}, DemandGraphError),
+    (Flight(0, 1), {"home": 0}, FlightPlanError),
+    (FlightPlan([(0, 1), (1, 2)]), {"flights": [(1, 1)]}, FlightPlanError),
+    (SearchLimits(max_nodes=4), {"max_nodes": 0}, ValueError),
+    (CnfFormula(2, [(1, -2, 2)]), {"num_vars": 1}, CnfError),
+    (UndirectedGraph(3, [(0, 1)]), {"edges": [(1, 1)]}, ReductionError),
+    (
+        BinaryModel([ModelVariable("x", (0,))], [LinearConstraint("c", ((1, 0),), "<=", 1)], ()),
+        {"variables": []},
+        ModelError,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "record, bad, error", CHECKED_RECORDS, ids=[type(r).__name__ for r, _, _ in CHECKED_RECORDS]
+)
+def test_every_checked_record_checks_its_replacements_and_copies(record, bad, error):
+    cls = type(record)
+    with pytest.raises(error):
+        record._replace(**bad)
+    with pytest.raises(error):
+        cls._make(bad.get(field, value) for field, value in zip(cls._fields, record))
+    for twin in (cls._make(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(twin) is cls
+        assert twin == record

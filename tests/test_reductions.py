@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -179,6 +179,50 @@ def test_witness_plan_fails_for_falsifying_assignment():
     assert not verify_twohop(red.graph, plan).satisfied
 
 
+def test_witness_plan_is_only_for_the_3cnf_reduction():
+    f = parse_dimacs_cnf(EXAMPLE_CNF)
+    red = reduce_vertex_cover_to_multihop(PAW_GRAPH, 2)
+    with pytest.raises(ReductionError, match="only for the 3-CNF reduction"):
+        satisfying_assignment_plan(f, red, (True,) * 5)
+
+
+def test_witness_plan_needs_one_value_per_variable():
+    f = parse_dimacs_cnf(EXAMPLE_CNF)
+    with pytest.raises(ReductionError, match="must cover 5 variables"):
+        satisfying_assignment_plan(f, reduce_3sat_to_twohop(f), (True,) * 4)
+
+
+# Unsatisfiable, and each clause repeats one literal: two forced edges, not six.
+REPEATED_LITERALS = CnfFormula(1, ((1, 1, 1), (-1, -1, -1)))
+
+
+def _formulas_with_repeated_literals(count: int, seed: int) -> list[CnfFormula]:
+    rng = random.Random(seed)
+    formulas = []
+    for _ in range(count):
+        n = rng.randint(1, 3)
+        clauses = [
+            tuple(rng.choice((1, -1)) * rng.randint(1, n) for _ in range(3))
+            for _ in range(rng.randint(1, 3))
+        ]
+        formulas.append(CnfFormula(n, clauses))
+    return formulas
+
+
+def test_budget_counts_the_witness_when_clauses_repeat_literals():
+    # One forced edge per distinct literal of each clause, two per
+    # variable: (3 * 6 + 1) * (1 + 1 + 2) + 1.
+    assert reduce_3sat_to_twohop(REPEATED_LITERALS).budget == 77
+    formulas = [REPEATED_LITERALS, *_formulas_with_repeated_literals(40, seed=3)]
+    assert sum(any(len(set(c)) < 3 for c in f.clauses) for f in formulas) == 36
+    for f in formulas:
+        red = reduce_3sat_to_twohop(f)
+        for assignment in product((False, True), repeat=f.num_vars):
+            plan = satisfying_assignment_plan(f, red, assignment)
+            assert plan.count == red.budget, f
+            assert verify_twohop(red.graph, plan).satisfied == f.evaluate(assignment), f
+
+
 def test_vc_reduction_paw_graph():
     red = reduce_vertex_cover_to_multihop(PAW_GRAPH, 2)
     assert len(red.graph.demands) == 8
@@ -242,6 +286,14 @@ def test_min_vertex_cover_paw_graph():
 
 def test_min_vertex_cover_single_edge():
     assert min_vertex_cover_bruteforce(UndirectedGraph.from_pairs(2, [(0, 1)])) == 1
+
+
+def test_min_vertex_cover_of_no_nodes_is_zero():
+    assert min_vertex_cover_bruteforce(UndirectedGraph(0, [])) == 0
+
+
+def test_single_node_is_connected():
+    assert UndirectedGraph(1, []).is_connected()
 
 
 def test_min_vertex_cover_five_cycle():
